@@ -23,10 +23,8 @@ from .regression import (
     coefficient_curve,
     extend_cache,
     fit_full,
-    predict,
     predict_response,
     rss_reduction,
-    score_candidate_alt,
 )
 from .selection import (
     EbicConfig,
@@ -56,7 +54,6 @@ from .splines import (
     basis_matrix,
     build_basis,
     design_block,
-    eval_basis,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +85,6 @@ __all__ = [
     "coefficient_curve",
     "design_block",
     "ebic",
-    "eval_basis",
     "evaluate_rep",
     "extend_cache",
     "fit_full",
@@ -96,13 +92,11 @@ __all__ = [
     "generate",
     "load_csv",
     "marginal_rank_screen",
-    "predict",
     "predict_response",
     "robust_sd",
     "rss_reduction",
     "run_forward",
     "run_rep",
-    "score_candidate_alt",
     "select_candidate",
     "snr",
     "true_correlations",

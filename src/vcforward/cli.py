@@ -34,22 +34,25 @@ from .selection import (
 from .simulation import SimScenario, _rep_task, aggregate, snr
 from .splines import DesignBlock, basis_matrix, build_basis
 
-SCENARIO_KEYS = (
-    "example",
-    "n",
-    "p",
-    "t1",
-    "t2",
-    "seed",
-    "reps",
-    "L",
-    "order",
-    "eta_rule",
-    "eta",
-    "patience",
-    "criterion",
-    "screen_k",
-)
+# Run settings: key -> (cast of a scenario-file value, default). A flag wins
+# over the scenario file, which wins over the default. ``select`` reads the
+# keys it shares with ``simulate`` from here too, with no scenario file.
+SETTINGS = {
+    "example": (str, None),
+    "n": (int, 400),
+    "p": (int, 1000),
+    "t1": (float, 0.0),
+    "t2": (float, 0.0),
+    "seed": (int, 1),
+    "reps": (int, 200),
+    "L": (int, 7),
+    "order": (int, 4),
+    "eta_rule": (str, "explicit"),
+    "eta": (float, None),
+    "patience": (int, 5),
+    "criterion": (str, "argmin-sigma"),
+    "screen_k": (int, 0),
+}
 
 _CRITERION_FLAG = {"argmin-sigma": "argmin_sigma", "argmax-corr": "argmax_corr"}
 
@@ -69,24 +72,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="vcforward", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sel = sub.add_parser("select", help="forward selection on a CSV dataset")
+    # Flags shared by select and simulate; unset ones resolve through SETTINGS.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--L", type=int, default=None, help="spline dimension (default 7)")
+    common.add_argument("--order", type=int, default=None, help="spline order (default 4, cubic)")
+    common.add_argument("--eta-rule", choices=("auto", "explicit"), default=None)
+    common.add_argument("--eta", type=float, default=None, help="EBIC weight (0 = BIC)")
+    common.add_argument("--patience", type=int, default=None)
+    common.add_argument("--criterion", choices=sorted(_CRITERION_FLAG), default=None)
+    common.add_argument("--screen-k", type=int, default=None, help="marginal pre-screen size (0 = off)")
+    common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (golden tests)")
+
+    sel = sub.add_parser("select", parents=[common], help="forward selection on a CSV dataset")
     sel.add_argument("--data", required=True, help="input CSV with header row")
     sel.add_argument("--y-column", required=True, help="response column name")
     sel.add_argument("--t-column", required=True, help="index-variable column name")
-    sel.add_argument("--L", type=int, default=7, help="spline dimension (default 7)")
-    sel.add_argument("--order", type=int, default=4, help="spline order (default 4, cubic)")
-    sel.add_argument("--eta-rule", choices=("auto", "explicit"), default="explicit")
-    sel.add_argument("--eta", type=float, default=None, help="EBIC weight (0 = BIC)")
-    sel.add_argument("--patience", type=int, default=5)
     sel.add_argument("--max-steps", type=int, default=None)
-    sel.add_argument("--criterion", choices=sorted(_CRITERION_FLAG), default="argmin-sigma")
-    sel.add_argument("--screen-k", type=int, default=0, help="marginal pre-screen size (0 = off)")
     sel.add_argument("--initial", default="intercept", help="'intercept', 'empty', or comma-separated columns")
     sel.add_argument("--out", default="report.json", help="report JSON path")
     sel.add_argument("--curves-out", default=None, help="optional coefficient-curve CSV path")
-    sel.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (golden tests)")
 
-    sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
+    sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo scenario")
     sim.add_argument("--scenario", default=None, help="scenario file with key=value lines")
     sim.add_argument("--example", choices=("ex1", "ex2"), default=None)
     sim.add_argument("--n", type=int, default=None)
@@ -95,18 +101,10 @@ def _build_parser() -> _Parser:
     sim.add_argument("--t2", type=float, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--L", type=int, default=None)
-    sim.add_argument("--order", type=int, default=None)
-    sim.add_argument("--eta-rule", choices=("auto", "explicit"), default=None)
-    sim.add_argument("--eta", type=float, default=None)
-    sim.add_argument("--patience", type=int, default=None)
-    sim.add_argument("--criterion", choices=sorted(_CRITERION_FLAG), default=None)
-    sim.add_argument("--screen-k", type=int, default=None)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--snr-samples", type=int, default=100_000)
     sim.add_argument("--out", default="aggregate.json", help="aggregate JSON path")
     sim.add_argument("--per-rep-out", default=None, help="optional per-repetition CSV path")
-    sim.add_argument("--no-timestamp", action="store_true")
 
     chk = sub.add_parser("basis-check", help="print partition-of-unity diagnostics")
     chk.add_argument("--L", type=int, default=7)
@@ -137,6 +135,7 @@ def _parse_initial(arg: str, column_names) -> tuple[int, ...]:
 
 
 def cmd_select(args) -> int:
+    _apply_settings(args, {})
     if args.eta_rule == "auto" and args.eta is not None:
         raise ConfigError("--eta conflicts with --eta-rule auto")
     eta = args.eta if args.eta is not None else 0.0
@@ -228,10 +227,10 @@ def _read_scenario_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in SCENARIO_KEYS:
+                if key not in SETTINGS:
                     raise ConfigError(
                         f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                        + ", ".join(SCENARIO_KEYS)
+                        + ", ".join(SETTINGS)
                     )
                 values[key] = value.strip()
     except OSError as exc:
@@ -239,55 +238,50 @@ def _read_scenario_file(path) -> dict:
     return values
 
 
-def _scenario_setting(args, file_values, key, cast, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        try:
-            return cast(file_values[key])
-        except ValueError:
-            raise ConfigError(f"scenario key {key!r} has invalid value {file_values[key]!r}") from None
-    return default
+def _apply_settings(args, file_values: dict) -> None:
+    """Set every SETTINGS key on ``args``: its flag, else the scenario file, else its default."""
+    for key, (cast, default) in SETTINGS.items():
+        if getattr(args, key, None) is not None:
+            continue
+        value = default
+        if key in file_values:
+            try:
+                value = cast(file_values[key])
+            except ValueError:
+                raise ConfigError(
+                    f"scenario key {key!r} has invalid value {file_values[key]!r}"
+                ) from None
+        setattr(args, key, value)
 
 
 def cmd_simulate(args) -> int:
-    file_values = _read_scenario_file(args.scenario) if args.scenario else {}
-
-    example = _scenario_setting(args, file_values, "example", str, None)
-    if example is None:
+    _apply_settings(args, _read_scenario_file(args.scenario) if args.scenario else {})
+    if args.example is None:
         raise ConfigError("an example id is required (--example or scenario file)")
     scenario = SimScenario(
-        example_id=example,
-        n=_scenario_setting(args, file_values, "n", int, 400),
-        p=_scenario_setting(args, file_values, "p", int, 1000),
-        t1=_scenario_setting(args, file_values, "t1", float, 0.0),
-        t2=_scenario_setting(args, file_values, "t2", float, 0.0),
-        seed=_scenario_setting(args, file_values, "seed", int, 1),
-        reps=_scenario_setting(args, file_values, "reps", int, 200),
+        example_id=args.example,
+        n=args.n,
+        p=args.p,
+        t1=args.t1,
+        t2=args.t2,
+        seed=args.seed,
+        reps=args.reps,
     )
-    dim = _scenario_setting(args, file_values, "L", int, 7)
-    order = _scenario_setting(args, file_values, "order", int, 4)
-    eta_rule = _scenario_setting(args, file_values, "eta_rule", str, "explicit")
-    eta_raw = _scenario_setting(args, file_values, "eta", float, None)
-    if eta_rule == "auto" and eta_raw is not None:
+    if args.eta_rule == "auto" and args.eta is not None:
         raise ConfigError("eta conflicts with eta_rule auto")
-    patience = _scenario_setting(args, file_values, "patience", int, 5)
-    criterion_flag = _scenario_setting(args, file_values, "criterion", str, "argmin-sigma")
-    criterion = _CRITERION_FLAG.get(criterion_flag, criterion_flag)
+    criterion = _CRITERION_FLAG.get(args.criterion, args.criterion)
     if criterion not in CRITERIA:
-        raise ConfigError(f"unknown criterion {criterion_flag!r}")
-    screen_k = _scenario_setting(args, file_values, "screen_k", int, 0)
+        raise ConfigError(f"unknown criterion {args.criterion!r}")
 
     config = EbicConfig(
-        eta=eta_raw if eta_raw is not None else 0.0,
-        eta_rule=eta_rule,
-        patience=patience,
+        eta=args.eta if args.eta is not None else 0.0,
+        eta_rule=args.eta_rule,
+        patience=args.patience,
     )
-    build_basis(dim, order)  # validate early
+    build_basis(args.L, args.order)  # validate early
 
     tasks = [
-        (scenario, r, dim, order, config, criterion, screen_k)
+        (scenario, r, args.L, args.order, config, criterion, args.screen_k)
         for r in range(scenario.reps)
     ]
     if args.workers > 1:
@@ -306,13 +300,13 @@ def cmd_simulate(args) -> int:
         out["generated_at"] = _timestamp()
     out["scenario"] = asdict(scenario)
     out["settings"] = {
-        "L": dim,
-        "order": order,
-        "eta_rule": eta_rule,
-        "eta": eta_raw,
-        "patience": patience,
+        "L": args.L,
+        "order": args.order,
+        "eta_rule": args.eta_rule,
+        "eta": args.eta,
+        "patience": args.patience,
         "criterion": criterion,
-        "screen_k": screen_k,
+        "screen_k": args.screen_k,
         "workers": args.workers,
     }
     out["metrics"] = asdict(agg)

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DataError
 
 INTERCEPT_NAME = "intercept"
+# Key of the evaluation grid next to the coefficient curves in reports.
+GRID_NAME = "t"
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,21 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
             )
     if y_column == t_column:
         raise DataError(f"{path}: response and index columns must differ")
+    # Column names key the report's curves, next to the grid and the
+    # prepended intercept, so they must be unique and must not shadow those.
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
     y_pos = header.index(y_column)
     t_pos = header.index(t_column)
     cov_pos = [i for i in range(len(header)) if i not in (y_pos, t_pos)]
     if not cov_pos:
         raise DataError(f"{path}: no covariate columns besides {y_column!r} and {t_column!r}")
+    for i in cov_pos:
+        if header[i] in (INTERCEPT_NAME, GRID_NAME):
+            raise DataError(f"{path}: covariate column name {header[i]!r} is reserved")
 
     parsed = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows):

@@ -22,7 +22,7 @@ class OverparameterizedError(NumericalError):
 
 
 class SingularDesignError(NumericalError):
-    """Design matrix is numerically rank deficient even after a ridge retry."""
+    """Design matrix is numerically rank deficient under the rank rule."""
 
 
 class DegenerateCandidateError(Exception):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import scipy
 
+from .data import GRID_NAME
 from .errors import DataError
 from .regression import FitResult, coefficient_curve
 from .splines import SplineBasis
@@ -82,7 +83,7 @@ def build_selection_report(
     }
     report["sigma_sq_path"] = [_json_safe(v) for v in trace.sigma_sq_path]
     report["ebic_path"] = [_json_safe(v) for v in trace.ebic_path]
-    report["curves"] = {"t": [float(v) for v in grid], **curves}
+    report["curves"] = {GRID_NAME: [float(v) for v in grid], **curves}
     report["metrics"] = metrics
     report["warnings"] = list(warnings or [])
     return report
@@ -110,7 +111,7 @@ def write_curves(curves: dict[str, list[float]], grid: np.ndarray, path) -> None
             raise ValueError(f"curve {name!r} length does not match the grid")
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["t"] + names) + "\n")
+            fh.write(",".join([GRID_NAME] + names) + "\n")
             for i, t in enumerate(grid):
                 row = [f"{float(t):.2f}"] + [repr(float(curves[nm][i])) for nm in names]
                 fh.write(",".join(row) + "\n")

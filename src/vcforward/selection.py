@@ -19,17 +19,17 @@ from .data import Dataset
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateCandidateError,
     NoCandidateError,
     NumericalError,
     SingularDesignError,
 )
 from .regression import (
-    RANK_REL_TOL,
     ProjectionCache,
     build_projection_cache,
+    col_sq_max,
     extend_cache,
-    rss_reduction,
+    residualize,
+    sweep,
 )
 from .splines import DesignBlock, SplineBasis, basis_matrix
 
@@ -130,76 +130,6 @@ class SelectionTrace:
         return [self.ebic_initial] + [s.ebic for s in self.steps]
 
 
-def _residualize_stack(cache: ProjectionCache, w_stack: np.ndarray) -> np.ndarray:
-    """Project the stacked (n, k, dim) candidate blocks off the model span."""
-    n, k, dim = w_stack.shape
-    wflat = w_stack.reshape(n, k * dim)
-    wt_flat = wflat - cache.q @ (cache.q.T @ wflat)
-    return wt_flat.reshape(n, k, dim)
-
-
-def _cross_products(cache: ProjectionCache, wt: np.ndarray, orig_col_max: np.ndarray):
-    """Residual cross products and the mask of already-explained candidates."""
-    n, k, dim = wt.shape
-    u = (wt.reshape(n, k * dim).T @ cache.residual_y).reshape(k, dim)
-    res_col = np.einsum("nkl,nkl->kl", wt, wt)
-    explained = res_col.max(axis=1) <= RANK_REL_TOL * orig_col_max
-    return u, explained
-
-
-def _sweep(
-    cache: ProjectionCache,
-    wt: np.ndarray,
-    w_raw: np.ndarray,
-    orig_col_max: np.ndarray,
-    indices: np.ndarray,
-):
-    """Batched variance-reduction scores from a residualized candidate stack.
-
-    Returns (deltas, gammas); degenerate candidates get delta = -inf.
-    Candidates whose residualized Gram fails the pivot check are rescored
-    through the scalar path so both routes agree on usability.
-    """
-    k, dim = wt.shape[1], wt.shape[2]
-    u, explained = _cross_products(cache, wt, orig_col_max)
-    deltas = np.full(k, -np.inf)
-    gammas = np.zeros((k, dim))
-    valid = np.nonzero(~explained)[0]
-    if valid.size == 0:
-        return deltas, gammas
-
-    a = np.matmul(wt.transpose(1, 2, 0), wt.transpose(1, 0, 2))
-    ok = np.zeros(valid.size, dtype=bool)
-    try:
-        chol = np.linalg.cholesky(a[valid])
-        piv = np.diagonal(chol, axis1=1, axis2=2)
-        ok = piv.min(axis=1) ** 2 > RANK_REL_TOL * piv.max(axis=1) ** 2
-    except np.linalg.LinAlgError:
-        for i, pos in enumerate(valid):
-            try:
-                d = np.diag(np.linalg.cholesky(a[pos]))
-                ok[i] = d.min() ** 2 > RANK_REL_TOL * d.max() ** 2
-            except np.linalg.LinAlgError:
-                ok[i] = False
-
-    good = valid[ok]
-    if good.size:
-        g = np.linalg.solve(a[good], u[good][:, :, None])[:, :, 0]
-        deltas[good] = np.maximum(np.einsum("kl,kl->k", g, u[good]), 0.0) / cache.n
-        gammas[good] = g
-    for pos in valid[~ok]:
-        block = DesignBlock(int(indices[pos]), w_raw[:, pos, :])
-        try:
-            deltas[pos], gammas[pos] = rss_reduction(cache, block)
-        except DegenerateCandidateError:
-            pass
-    return deltas, gammas
-
-
-def _col_sq_max(w_stack: np.ndarray) -> np.ndarray:
-    return np.einsum("nkl,nkl->kl", w_stack, w_stack).max(axis=1)
-
-
 def _argbest(scores: np.ndarray) -> int:
     """Position of the largest score; near-ties go to the earliest position."""
     smax = scores.max()
@@ -212,34 +142,23 @@ def _argbest(scores: np.ndarray) -> int:
 def _select_from_resid(
     cache: ProjectionCache,
     wt: np.ndarray,
-    w_raw: np.ndarray,
-    orig_col_max: np.ndarray,
-    indices: np.ndarray,
+    raw_col_sq_max: np.ndarray,
     criterion: str,
     alive: np.ndarray | None = None,
 ):
-    """Pick the best candidate position in a residualized pool."""
+    """Pick the best candidate position in a residualized pool.
+
+    Returns (position, delta, gamma) of the winner.
+    """
+    deltas, gammas, u = sweep(cache, wt, raw_col_sq_max)
     if criterion == "argmin_sigma":
-        deltas, gammas = _sweep(cache, wt, w_raw, orig_col_max, indices)
-        if alive is not None:
-            deltas[~alive] = -np.inf
-        pos = _argbest(deltas)
-        return pos, float(deltas[pos]), gammas[pos]
-    if criterion == "argmax_corr":
-        u, explained = _cross_products(cache, wt, orig_col_max)
-        scores = np.linalg.norm(u, axis=1)
-        scores[explained] = -np.inf
-        if alive is not None:
-            scores[~alive] = -np.inf
-        while True:
-            pos = _argbest(scores)
-            block = DesignBlock(int(indices[pos]), w_raw[:, pos, :])
-            try:
-                delta, gamma = rss_reduction(cache, block)
-                return pos, delta, gamma
-            except DegenerateCandidateError:
-                scores[pos] = -np.inf
-    raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
+        scores = deltas.copy()
+    else:
+        scores = np.where(np.isfinite(deltas), np.linalg.norm(u, axis=1), -np.inf)
+    if alive is not None:
+        scores[~alive] = -np.inf
+    pos = _argbest(scores)
+    return pos, float(deltas[pos]), gammas[pos]
 
 
 def select_candidate(
@@ -257,6 +176,8 @@ def select_candidate(
 
     Returns (covariate_index, delta, gamma) for the winner.
     """
+    if criterion not in CRITERIA:
+        raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     blocks = list(candidate_pool)
     if not blocks:
         raise NoCandidateError("candidate pool is empty")
@@ -264,9 +185,8 @@ def select_candidate(
     blocks = [blocks[i] for i in order]
     indices = np.array([b.covariate_index for b in blocks])
     w_stack = np.stack([b.matrix for b in blocks], axis=1)
-    wt = _residualize_stack(cache, w_stack)
     pos, delta, gamma = _select_from_resid(
-        cache, wt, w_stack, _col_sq_max(w_stack), indices, criterion
+        cache, residualize(cache, w_stack), col_sq_max(w_stack), criterion
     )
     return int(indices[pos]), delta, gamma
 
@@ -352,10 +272,10 @@ def run_forward(
     alive = np.ones(pool_idx.size, dtype=bool)
     if pool_idx.size:
         w_pool = bmat[:, None, :] * dataset.x[:, pool_idx, None]
-        orig_col_max = _col_sq_max(w_pool)
+        raw_col_sq_max = col_sq_max(w_pool)
         # The residualized pool is kept current: after each acceptance only
         # the newly added orthonormal directions are projected out.
-        wt_pool = _residualize_stack(cache, w_pool)
+        wt_pool = residualize(cache, w_pool)
 
     steps: list[SelectionStep] = []
     sigma_prev, ebic_prev = sigma0, ebic0
@@ -370,9 +290,7 @@ def run_forward(
             stop = "candidates_exhausted"
             break
         try:
-            pos, _, _ = _select_from_resid(
-                cache, wt_pool, w_pool, orig_col_max, pool_idx, criterion, alive
-            )
+            pos, _, _ = _select_from_resid(cache, wt_pool, raw_col_sq_max, criterion, alive)
         except NoCandidateError:
             stop = "candidates_exhausted"
             break
@@ -381,8 +299,9 @@ def run_forward(
         try:
             new_cache = extend_cache(cache, block)
         except SingularDesignError:
-            # Borderline candidate slipped through the sweep's rank check;
-            # drop it and keep going.
+            # The sweep's Cholesky pivots and the cache's QR pivots apply the
+            # same rank rule but may round differently at its edge; drop the
+            # candidate and keep going.
             alive[pos] = False
             continue
         q_new = new_cache.q[:, cache.q.shape[1] :]
@@ -426,8 +345,7 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     cache = build_projection_cache([_covariate_block(dataset, bmat, 0)], dataset.y)
     candidates = np.arange(1, dataset.p + 1)
     w_stack = bmat[:, None, :] * dataset.x[:, candidates, None]
-    wt = _residualize_stack(cache, w_stack)
-    deltas, _ = _sweep(cache, wt, w_stack, _col_sq_max(w_stack), candidates)
+    deltas, _, _ = sweep(cache, residualize(cache, w_stack), col_sq_max(w_stack))
 
     bic = np.full(candidates.size, np.inf)
     for i, d in enumerate(deltas):

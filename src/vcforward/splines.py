@@ -110,11 +110,6 @@ def basis_matrix(basis: SplineBasis, t_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_basis(basis: SplineBasis, t: float) -> np.ndarray:
-    """Evaluate the basis at a single point in [0, 1]."""
-    return basis_matrix(basis, np.array([float(t)]))[0]
-
-
 def design_block(
     basis: SplineBasis,
     t_values: np.ndarray,

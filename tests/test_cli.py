@@ -247,3 +247,41 @@ def test_basis_check_invalid_config(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["select", "--nope"]) == 1
+
+
+def _named_csv(path, names, seed=0, n=40):
+    rng = np.random.default_rng(seed)
+    cols = {name: rng.standard_normal(n) for name in dict.fromkeys(names)}
+    cols["time"] = rng.random(n)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for i in range(n):
+            fh.write(",".join(repr(float(cols[name][i])) for name in names) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "names,bad",
+    [
+        (["y", "time", "t", "x1"], "'t'"),
+        (["y", "time", "a", "x1", "a"], "'a'"),
+        (["y", "time", "intercept", "x1"], "'intercept'"),
+    ],
+    ids=["grid-name", "duplicate", "intercept-name"],
+)
+def test_select_rejects_clashing_column_names(tmp_path, capsys, names, bad):
+    data = _named_csv(tmp_path / "clash.csv", names)
+    out = tmp_path / "r.json"
+    code = main(
+        [
+            "select",
+            "--data", str(data),
+            "--y-column", "y",
+            "--t-column", "time",
+            "--L", "5",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()

@@ -6,7 +6,9 @@ import pytest
 import vcforward as vf
 from vcforward.errors import (
     DegenerateCandidateError,
+    NoCandidateError,
     OverparameterizedError,
+    SingularDesignError,
 )
 
 from oracles import dense_projector, lstsq_sigma_sq, normal_equations_sigma_sq
@@ -59,12 +61,11 @@ def test_fit_full_overparameterized():
         vf.fit_full(_blocks(basis, t, x, [0, 1]), y)
 
 
-def test_fit_full_rank_deficient_sets_flag():
+def test_fit_full_rank_deficient_raises():
     basis, t, x, y = _instance(4)
     dup = _blocks(basis, t, x, [1, 1])
-    fit = vf.fit_full(dup, y)
-    assert not fit.rank_ok
-    assert fit.sigma_sq <= float(y @ y) / len(y)
+    with pytest.raises(SingularDesignError):
+        vf.fit_full(dup, y)
 
 
 def test_sigma_never_exceeds_raw_second_moment():
@@ -160,28 +161,42 @@ def test_rss_reduction_gamma_matches_full_fit_coefficients():
     np.testing.assert_allclose(gamma, full.gamma[2 * basis.dim :], atol=1e-9)
 
 
-def test_score_candidate_alt_zero_cases():
-    basis, t, x, _ = _instance(15)
-    blocks = _blocks(basis, t, x, [0])
-    y = blocks[0].matrix @ np.ones(basis.dim)
-    cache = vf.build_projection_cache(blocks, y)  # residual ~ 0
-    cand = _blocks(basis, t, x, [2])[0]
-    assert vf.score_candidate_alt(cache, cand) <= 1e-10
-    zero = vf.DesignBlock(3, np.zeros_like(cand.matrix))
-    assert vf.score_candidate_alt(cache, zero) == 0.0
-
-
-def test_score_candidate_alt_matches_dense():
+def test_argmax_corr_picks_dense_projector_argmax():
     basis, t, x, y = _instance(16, n=50)
     blocks = _blocks(basis, t, x, [0, 1])
     cache = vf.build_projection_cache(blocks, y)
-    cand = _blocks(basis, t, x, [3])[0]
-    w = np.hstack([b.matrix for b in blocks])
-    wt = cand.matrix - dense_projector(w) @ cand.matrix
-    yt = y - dense_projector(w) @ y
-    assert vf.score_candidate_alt(cache, cand) == pytest.approx(
-        float(np.linalg.norm(wt.T @ yt)), rel=1e-10
-    )
+    proj = dense_projector(np.hstack([b.matrix for b in blocks]))
+    yt = y - proj @ y
+    pool = _blocks(basis, t, x, [2, 3, 4, 5, 6])
+    corr = {
+        b.covariate_index: float(np.linalg.norm((b.matrix - proj @ b.matrix).T @ yt))
+        for b in pool
+    }
+    want = max(corr, key=lambda j: (corr[j], -j))
+    # A zero block is degenerate and never wins.
+    zero = vf.DesignBlock(7, np.zeros_like(pool[0].matrix))
+    j, _, _ = vf.select_candidate(cache, pool + [zero], criterion="argmax_corr")
+    assert j == want
+
+
+def test_rank_rule_agrees_across_kernel_and_cache():
+    basis, t, x, y = _instance(21)
+    cache = vf.build_projection_cache(_blocks(basis, t, x, [0, 1]), y)
+    z = np.random.default_rng(22).standard_normal(len(t))
+    for eps, usable in ((1e-3, True), (1e-9, False)):
+        cand = vf.design_block(basis, t, x[:, 1] + eps * z, covariate_index=2)
+        if usable:
+            delta, _ = vf.rss_reduction(cache, cand)
+            assert delta >= 0.0
+            assert vf.select_candidate(cache, [cand])[0] == 2
+            assert vf.extend_cache(cache, cand).index_set == (0, 1, 2)
+        else:
+            with pytest.raises(DegenerateCandidateError):
+                vf.rss_reduction(cache, cand)
+            with pytest.raises(NoCandidateError):
+                vf.select_candidate(cache, [cand])
+            with pytest.raises(SingularDesignError):
+                vf.extend_cache(cache, cand)
 
 
 def test_predict_constant_fit():
@@ -190,14 +205,16 @@ def test_predict_constant_fit():
     c = 3.25
     block = _blocks(basis, t, x, [0])[0]
     fit = vf.fit_full([block], np.full(n, c))
-    for tt in (0.0, 0.31, 0.77, 1.0):
-        assert vf.predict(fit, basis, tt, np.array([1.0])) == pytest.approx(c, abs=1e-10)
+    grid = np.array([0.0, 0.31, 0.77, 1.0])
+    yhat = vf.predict_response(fit, basis, grid, np.ones((4, 1)))
+    np.testing.assert_allclose(yhat, c, atol=1e-10)
 
 
 def test_predict_zero_gamma():
     basis = vf.build_basis(5, 3)
     fit = vf.FitResult((0, 2), np.zeros(10), 1.0, True)
-    assert vf.predict(fit, basis, 0.4, np.array([1.0, -2.0])) == 0.0
+    x = np.array([[1.0, 5.0, -2.0]])
+    assert vf.predict_response(fit, basis, np.array([0.4]), x)[0] == 0.0
 
 
 def test_predict_saturated_fit_reproduces_y():
@@ -220,7 +237,7 @@ def test_predict_domain_error():
     basis = vf.build_basis(5, 3)
     fit = vf.FitResult((0,), np.zeros(5), 1.0, True)
     with pytest.raises(ValueError):
-        vf.predict(fit, basis, 1.5, np.array([1.0]))
+        vf.predict_response(fit, basis, np.array([1.5]), np.ones((1, 1)))
 
 
 def test_coefficient_curve_zero_and_endpoint():
@@ -239,8 +256,11 @@ def test_coefficient_curve_consistent_with_predict():
     fit = vf.fit_full(blocks, y)
     grid = np.linspace(0.0, 1.0, 9)
     curve = vf.coefficient_curve(fit, basis, 2, grid)
-    for g, val in zip(grid, curve):
-        assert vf.predict(fit, basis, g, np.array([0.0, 1.0])) == pytest.approx(val, abs=1e-12)
+    # Covariate 2 set to one and the intercept to zero isolate its curve.
+    x_unit = np.zeros((grid.size, 3))
+    x_unit[:, 2] = 1.0
+    yhat = vf.predict_response(fit, basis, grid, x_unit)
+    np.testing.assert_allclose(yhat, curve, atol=1e-12)
 
 
 def test_coefficient_curve_missing_covariate():

@@ -31,8 +31,8 @@ def test_invalid_configuration_rejected(dim, order):
 
 def test_clamped_endpoints():
     b = vf.build_basis(7, 4)
-    left = vf.eval_basis(b, 0.0)
-    right = vf.eval_basis(b, 1.0)
+    left = vf.basis_matrix(b, [0.0])[0]
+    right = vf.basis_matrix(b, [1.0])[0]
     np.testing.assert_array_equal(left, np.eye(7)[0])
     np.testing.assert_array_equal(right, np.eye(7)[6])
 
@@ -55,7 +55,7 @@ def test_local_support_at_most_order_nonzero():
 @pytest.mark.parametrize("t", [0.1, 0.37, 0.9])
 def test_matches_divided_difference_oracle(t):
     b = vf.build_basis(7, 4)
-    got = vf.eval_basis(b, t)
+    got = vf.basis_matrix(b, [t])[0]
     want = naive_basis(b.knots, b.order, b.dim, t)
     np.testing.assert_allclose(got, want, atol=1e-12)
     assert abs(got.sum() - 1.0) <= 1e-12
@@ -67,7 +67,7 @@ def test_matches_oracle_on_random_points_and_shapes():
         b = vf.build_basis(dim, order)
         for t in rng.random(15):
             np.testing.assert_allclose(
-                vf.eval_basis(b, t),
+                vf.basis_matrix(b, [t])[0],
                 naive_basis(b.knots, order, dim, t),
                 atol=1e-12,
             )
@@ -77,7 +77,7 @@ def test_matches_oracle_on_random_points_and_shapes():
 def test_domain_error_outside_unit_interval(t):
     b = vf.build_basis(7, 4)
     with pytest.raises(ValueError):
-        vf.eval_basis(b, t)
+        vf.basis_matrix(b, [t])[0]
 
 
 def test_design_block_intercept_equals_raw_basis():
@@ -102,7 +102,7 @@ def test_design_block_rows_match_scalar_recomputation():
     block = vf.design_block(b, t, x, covariate_index=1)
     for i in range(3):
         np.testing.assert_allclose(
-            block.matrix[i], vf.eval_basis(b, t[i]) * x[i], atol=1e-15
+            block.matrix[i], vf.basis_matrix(b, [t[i]])[0] * x[i], atol=1e-15
         )
 
 
