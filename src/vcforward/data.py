@@ -70,14 +70,31 @@ class Dataset:
         return self.x.shape[1] - 1
 
 
+def _check_column_names(names, covariate_names) -> None:
+    """Reject names that would clash in a report.
+
+    Column names key the report's curves, next to the grid and the
+    prepended intercept, so ``names`` must be unique and no covariate may be
+    named like those. Raises DataError naming the first clash.
+    """
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise DataError(f"duplicate column name {name!r}")
+        seen.add(name)
+    for name in covariate_names:
+        if name in (INTERCEPT_NAME, GRID_NAME):
+            raise DataError(f"covariate column name {name!r} is reserved")
+
+
 def from_arrays(y, t, x_covariates, names=None) -> Dataset:
     """Assemble a Dataset from raw covariates (no intercept column yet)."""
     x_cov = np.asarray(x_covariates, dtype=float)
     if x_cov.ndim != 2:
         raise DataError("covariates must form a two-dimensional array")
     n, p = x_cov.shape
-    if names is None:
-        names = [f"x{j}" for j in range(1, p + 1)]
+    names = tuple(names) if names is not None else tuple(f"x{j}" for j in range(1, p + 1))
+    _check_column_names(names, names)
     x = np.column_stack([np.ones(n), x_cov])
     const = tuple(
         j for j in range(1, p + 1) if x[:, j].max() == x[:, j].min()
@@ -118,21 +135,15 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
             )
     if y_column == t_column:
         raise DataError(f"{path}: response and index columns must differ")
-    # Column names key the report's curves, next to the grid and the
-    # prepended intercept, so they must be unique and must not shadow those.
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise DataError(f"{path}: duplicate column name {name!r}")
-        seen.add(name)
     y_pos = header.index(y_column)
     t_pos = header.index(t_column)
     cov_pos = [i for i in range(len(header)) if i not in (y_pos, t_pos)]
     if not cov_pos:
         raise DataError(f"{path}: no covariate columns besides {y_column!r} and {t_column!r}")
-    for i in cov_pos:
-        if header[i] in (INTERCEPT_NAME, GRID_NAME):
-            raise DataError(f"{path}: covariate column name {header[i]!r} is reserved")
+    try:
+        _check_column_names(header, [header[i] for i in cov_pos])
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
     parsed = np.empty((len(rows), len(header)))
     for i, row in enumerate(rows):

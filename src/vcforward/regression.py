@@ -5,7 +5,10 @@ Q and R by one block at a time. Full fits solve R gamma = Q^T y on that
 factor, and every candidate's variance drop comes from one batched sweep
 that Cholesky-factors the candidate's Gram with the model span projected
 out, so scoring costs one small (dim x dim) factorisation per candidate
-instead of a full refit. One rank rule decides usability on both routes.
+instead of a full refit. Those Grams come from explicitly residualized
+blocks (``residualize``) or, for a whole candidate pool, from matrix
+products over the covariates downdated per accepted block
+(``CandidateGrams``). One rank rule decides usability on every route.
 """
 
 from __future__ import annotations
@@ -156,55 +159,105 @@ def extend_cache(cache: ProjectionCache, block: DesignBlock) -> ProjectionCache:
     )
 
 
-def residualize(cache: ProjectionCache, w_stack: np.ndarray) -> np.ndarray:
-    """Project the stacked (n, k, dim) candidate blocks off the model span."""
+def residualize(cache: ProjectionCache, w_stack: np.ndarray):
+    """Kernel inputs of stacked (n, k, dim) candidate blocks, projected explicitly.
+
+    Projects the model span off the blocks and returns (gram, u, col_sq_max)
+    in the layout ``sweep`` takes: each block's residualized Gram as
+    gram[:, :, i], its cross products with the residual response as
+    u[:, i], and its largest squared raw column norm (the rank rule's scale).
+    """
     n, k, dim = w_stack.shape
     wflat = w_stack.reshape(n, k * dim)
-    return (wflat - cache.q @ (cache.q.T @ wflat)).reshape(n, k, dim)
+    wt = (wflat - cache.q @ (cache.q.T @ wflat)).reshape(n, k, dim)
+    gram = np.einsum("nkl,nkm->lmk", wt, wt)
+    u = (wt.reshape(n, k * dim).T @ cache.residual_y).reshape(k, dim).T
+    return gram, u, np.einsum("nkl,nkl->kl", w_stack, w_stack).max(axis=1)
 
 
-def col_sq_max(w_stack: np.ndarray) -> np.ndarray:
-    """Largest squared raw column norm of each block in an (n, k, dim) stack."""
-    return np.einsum("nkl,nkl->kl", w_stack, w_stack).max(axis=1)
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker products: column (i, l) of the result is a_i * b_l."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
-def sweep(cache: ProjectionCache, wt: np.ndarray, raw_col_sq_max: np.ndarray):
-    """Variance drop of every candidate in a residualized (n, k, dim) stack.
+class CandidateGrams:
+    """Kernel inputs of the blocks W_j = diag(x_j) B, from products over x.
 
-    Each candidate's residualized Gram is Cholesky-factored, vectorized over
-    candidates with a loop over its ``dim`` columns. ``raw_col_sq_max``
-    (see ``col_sq_max``) feeds the rank rule: a candidate with a failing
-    pivot is degenerate and gets delta = -inf and zero coefficients.
+    With B the (n, dim) basis matrix and x the (n, k) candidate covariates,
+    the raw Grams are one GEMM, (B_l B_m)^T x^2, and their diagonals give
+    the rank rule's scale. The model's orthonormal columns Q come off as
+    G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the cross products with the
+    residual r, which is orthogonal to Q, are (B r)^T x; after each accepted
+    block both come from one more GEMM over x. So memory stays
+    O(n k + k dim^2): no (n, k, dim) stack is formed. ``gram`` and ``u``
+    are laid out as ``sweep`` takes them.
 
-    Returns (deltas, gammas, u): delta = sigma_sq(S) - sigma_sq(S + candidate),
-    gamma the candidate's coefficients in the extended model, and u the cross
-    products of the residualized block with the residual response. Never
-    raises.
+    A downdated Gram squares each block's condition number, so a winner is
+    confirmed on explicitly residualized blocks (``blocks``, ``residualize``)
+    before it is accepted.
     """
-    n, k, dim = wt.shape
-    u = (wt.reshape(n, k * dim).T @ cache.residual_y).reshape(k, dim)
-    gram = np.matmul(wt.transpose(1, 2, 0), wt.transpose(1, 0, 2))
-    chol = np.zeros((k, dim, dim))
-    z = np.zeros((k, dim))
+
+    def __init__(self, bmat: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray):
+        """Inputs for the model with orthonormal columns ``q`` and residual ``r``."""
+        self.bmat = bmat
+        self.x = x
+        k, dim = x.shape[1], bmat.shape[1]
+        self.gram = (_row_products(bmat, bmat).T @ (x * x)).reshape(dim, dim, k)
+        self.col_sq_max = np.diagonal(self.gram).max(axis=1)
+        self.update(q, r)
+
+    def update(self, q: np.ndarray, r: np.ndarray) -> None:
+        """Project orthonormal columns ``q``, new to the model, off every Gram
+        and take the cross products with the model's new residual ``r``."""
+        k, m, dim = self.x.shape[1], q.shape[1], self.bmat.shape[1]
+        left = np.hstack([_row_products(q, self.bmat), self.bmat * r[:, None]])
+        prod = left.T @ self.x
+        c = prod[: m * dim].reshape(m, dim, k)
+        self.gram -= np.einsum("alk,amk->lmk", c, c, optimize=True)
+        self.u = prod[m * dim :]
+
+    def blocks(self, positions) -> np.ndarray:
+        """The (n, len(positions), dim) stack of the blocks at ``positions``."""
+        return self.bmat[:, None, :] * self.x[:, positions, None]
+
+
+def sweep(gram: np.ndarray, u: np.ndarray, raw_col_sq_max: np.ndarray, n: int):
+    """Variance drop of every candidate from its residualized Gram.
+
+    Candidate i's Gram with the model span projected out is gram[:, :, i]
+    and its cross products with the residual response are u[:, i]; both
+    routes build them, ``residualize`` from explicit blocks and
+    ``CandidateGrams`` from products over x. Each Gram is Cholesky-factored,
+    vectorized over candidates with a loop over its ``dim`` columns.
+    ``raw_col_sq_max`` feeds the rank rule: a candidate with a failing pivot
+    is degenerate and gets delta = -inf and zero coefficients.
+
+    Returns (deltas, gammas): delta = sigma_sq(S) - sigma_sq(S + candidate)
+    over ``n`` observations, and gammas[:, i] candidate i's coefficients in
+    the extended model. Never raises.
+    """
+    dim, k = u.shape
+    chol = np.zeros((dim, dim, k))
+    z = np.zeros((dim, k))
     usable = np.ones(k, dtype=bool)
     for j in range(dim):
-        row = chol[:, j, :j]
-        pivot_sq = gram[:, j, j] - np.einsum("kl,kl->k", row, row)
+        row = chol[j, :j]
+        pivot_sq = gram[j, j] - np.einsum("lk,lk->k", row, row)
         usable &= _full_rank(pivot_sq, raw_col_sq_max)
         # A degenerate candidate continues on an infinite pivot, which zeroes
         # the rest of its factor instead of dividing by a vanishing one.
         pivot = np.sqrt(np.where(usable, pivot_sq, np.inf))
-        chol[:, j, j] = pivot
-        below = gram[:, j + 1 :, j] - np.einsum("kil,kl->ki", chol[:, j + 1 :, :j], row)
-        chol[:, j + 1 :, j] = below / pivot[:, None]
-        z[:, j] = (u[:, j] - np.einsum("kl,kl->k", row, z[:, :j])) / pivot
-    gammas = np.zeros((k, dim))
+        chol[j, j] = pivot
+        below = gram[j + 1 :, j] - np.einsum("ilk,lk->ik", chol[j + 1 :, :j], row)
+        chol[j + 1 :, j] = below / pivot
+        z[j] = (u[j] - np.einsum("lk,lk->k", row, z[:j])) / pivot
+    gammas = np.zeros((dim, k))
     for j in range(dim - 1, -1, -1):
-        above = np.einsum("kl,kl->k", chol[:, j + 1 :, j], gammas[:, j + 1 :])
-        gammas[:, j] = (z[:, j] - above) / chol[:, j, j]
-    gammas[~usable] = 0.0
-    deltas = np.where(usable, np.einsum("kl,kl->k", z, z) / n, -np.inf)
-    return deltas, gammas, u
+        above = np.einsum("lk,lk->k", chol[j + 1 :, j], gammas[j + 1 :])
+        gammas[j] = (z[j] - above) / chol[j, j]
+    gammas[:, ~usable] = 0.0
+    deltas = np.where(usable, np.einsum("lk,lk->k", z, z) / n, -np.inf)
+    return deltas, gammas
 
 
 def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np.ndarray]:
@@ -215,13 +268,12 @@ def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np
     extended model. Raises DegenerateCandidateError when the block fails
     the rank rule.
     """
-    w = block.matrix[:, None, :]
-    deltas, gammas, _ = sweep(cache, residualize(cache, w), col_sq_max(w))
+    deltas, gammas = sweep(*residualize(cache, block.matrix[:, None, :]), cache.n)
     if not np.isfinite(deltas[0]):
         raise DegenerateCandidateError(
             f"candidate {block.covariate_index} is collinear with the model"
         )
-    return float(deltas[0]), gammas[0]
+    return float(deltas[0]), gammas[:, 0]
 
 
 def predict_response(

@@ -24,9 +24,9 @@ from .errors import (
     SingularDesignError,
 )
 from .regression import (
+    CandidateGrams,
     ProjectionCache,
     build_projection_cache,
-    col_sq_max,
     extend_cache,
     residualize,
     sweep,
@@ -36,6 +36,12 @@ from .splines import DesignBlock, SplineBasis, basis_matrix
 # Relative slack under which candidate scores count as tied; ties resolve to
 # the smallest covariate index.
 TIE_REL_TOL = 1e-12
+
+# Relative slack around the best downdated-Gram score inside which candidates
+# are re-scored on explicitly residualized blocks before a winner is taken,
+# and the number re-scored at a time.
+CONFIRM_REL_TOL = 1e-6
+CONFIRM_BATCH = 256
 
 CRITERIA = ("argmin_sigma", "argmax_corr")
 
@@ -139,26 +145,45 @@ def _argbest(scores: np.ndarray) -> int:
     return int(np.nonzero(scores >= smax - tol)[0][0])
 
 
-def _select_from_resid(
-    cache: ProjectionCache,
-    wt: np.ndarray,
-    raw_col_sq_max: np.ndarray,
-    criterion: str,
-    alive: np.ndarray | None = None,
-):
-    """Pick the best candidate position in a residualized pool.
-
-    Returns (position, delta, gamma) of the winner.
-    """
-    deltas, gammas, u = sweep(cache, wt, raw_col_sq_max)
+def _scores(deltas: np.ndarray, u: np.ndarray, criterion: str) -> np.ndarray:
+    """Candidate scores under ``criterion``; degenerate candidates get -inf."""
     if criterion == "argmin_sigma":
-        scores = deltas.copy()
-    else:
-        scores = np.where(np.isfinite(deltas), np.linalg.norm(u, axis=1), -np.inf)
-    if alive is not None:
-        scores[~alive] = -np.inf
-    pos = _argbest(scores)
-    return pos, float(deltas[pos]), gammas[pos]
+        return deltas
+    return np.where(np.isfinite(deltas), np.linalg.norm(u, axis=0), -np.inf)
+
+
+def _confirmed_winner(
+    cache: ProjectionCache,
+    grams: CandidateGrams,
+    scores: np.ndarray,
+    alive: np.ndarray,
+    criterion: str,
+) -> int:
+    """Position of the winner among the alive candidates.
+
+    ``scores`` come from the downdated Grams. Every alive candidate whose
+    score lies within CONFIRM_REL_TOL of the best is re-scored on its
+    explicitly residualized block, and again for any that come within the
+    slack of a lower confirmed best, so the winner and its ties are always
+    decided by explicit scores.
+    """
+    exact = np.full(scores.size, -np.inf)
+    checked = ~alive
+    while True:
+        current = np.where(checked, exact, scores)
+        best = current.max()
+        if best == -np.inf:
+            break
+        # Scores are nonnegative, and an overflowed one (+inf) is re-scored too.
+        todo = np.nonzero(~checked & (current >= best * (1.0 - CONFIRM_REL_TOL)))[0]
+        if not todo.size:
+            break
+        for part in np.split(todo, range(CONFIRM_BATCH, todo.size, CONFIRM_BATCH)):
+            gram, u, raw_col_sq_max = residualize(cache, grams.blocks(part))
+            deltas, _ = sweep(gram, u, raw_col_sq_max, cache.n)
+            exact[part] = _scores(deltas, u, criterion)
+        checked[todo] = True
+    return _argbest(exact)
 
 
 def select_candidate(
@@ -183,12 +208,10 @@ def select_candidate(
         raise NoCandidateError("candidate pool is empty")
     order = sorted(range(len(blocks)), key=lambda i: blocks[i].covariate_index)
     blocks = [blocks[i] for i in order]
-    indices = np.array([b.covariate_index for b in blocks])
-    w_stack = np.stack([b.matrix for b in blocks], axis=1)
-    pos, delta, gamma = _select_from_resid(
-        cache, residualize(cache, w_stack), col_sq_max(w_stack), criterion
-    )
-    return int(indices[pos]), delta, gamma
+    gram, u, raw_col_sq_max = residualize(cache, np.stack([b.matrix for b in blocks], axis=1))
+    deltas, gammas = sweep(gram, u, raw_col_sq_max, cache.n)
+    pos = _argbest(_scores(deltas, u, criterion))
+    return int(blocks[pos].covariate_index), float(deltas[pos]), gammas[:, pos]
 
 
 def _covariate_block(dataset: Dataset, bmat: np.ndarray, j: int) -> DesignBlock:
@@ -270,12 +293,9 @@ def run_forward(
 
     pool_idx = np.array(sorted(pool), dtype=int)
     alive = np.ones(pool_idx.size, dtype=bool)
-    if pool_idx.size:
-        w_pool = bmat[:, None, :] * dataset.x[:, pool_idx, None]
-        raw_col_sq_max = col_sq_max(w_pool)
-        # The residualized pool is kept current: after each acceptance only
-        # the newly added orthonormal directions are projected out.
-        wt_pool = residualize(cache, w_pool)
+    # The candidates' Grams are kept current: after each acceptance only the
+    # newly added orthonormal directions are projected out.
+    grams = CandidateGrams(bmat, dataset.x[:, pool_idx], cache.q, cache.residual_y)
 
     steps: list[SelectionStep] = []
     sigma_prev, ebic_prev = sigma0, ebic0
@@ -289,13 +309,15 @@ def run_forward(
         if not alive.any():
             stop = "candidates_exhausted"
             break
+        deltas, _ = sweep(grams.gram, grams.u, grams.col_sq_max, n)
+        scores = _scores(deltas, grams.u, criterion)
         try:
-            pos, _, _ = _select_from_resid(cache, wt_pool, raw_col_sq_max, criterion, alive)
+            pos = _confirmed_winner(cache, grams, scores, alive, criterion)
         except NoCandidateError:
             stop = "candidates_exhausted"
             break
         j = int(pool_idx[pos])
-        block = DesignBlock(j, w_pool[:, pos, :])
+        block = DesignBlock(j, grams.blocks([pos])[:, 0, :])
         try:
             new_cache = extend_cache(cache, block)
         except SingularDesignError:
@@ -304,11 +326,9 @@ def run_forward(
             # candidate and keep going.
             alive[pos] = False
             continue
-        q_new = new_cache.q[:, cache.q.shape[1] :]
+        grams.update(new_cache.q[:, cache.q.shape[1] :], new_cache.residual_y)
         cache = new_cache
         alive[pos] = False
-        flat = wt_pool.reshape(dataset.n, -1)
-        flat -= q_new @ (q_new.T @ flat)
 
         sigma = cache.sigma_sq
         delta = sigma_prev - sigma
@@ -334,9 +354,10 @@ def run_forward(
 def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> list[int]:
     """Rank covariates by the BIC of their single-covariate model.
 
-    Fits {intercept, j} for every covariate j, ranks ascending by BIC
-    (ties by index) and returns the best ``keep_k`` indices. The result
-    feeds ``run_forward``'s candidate pool.
+    Scores {intercept, j} for every covariate j in one sweep over the
+    candidates' Grams (the first sweep of ``run_forward``'s Gram route),
+    ranks ascending by BIC (ties by index) and returns the best ``keep_k``
+    indices. The result feeds ``run_forward``'s candidate pool.
     """
     if not 1 <= keep_k <= dataset.p:
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
@@ -344,8 +365,8 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     bmat = basis_matrix(basis, dataset.t)
     cache = build_projection_cache([_covariate_block(dataset, bmat, 0)], dataset.y)
     candidates = np.arange(1, dataset.p + 1)
-    w_stack = bmat[:, None, :] * dataset.x[:, candidates, None]
-    deltas, _, _ = sweep(cache, residualize(cache, w_stack), col_sq_max(w_stack))
+    grams = CandidateGrams(bmat, dataset.x[:, 1:], cache.q, cache.residual_y)
+    deltas, _ = sweep(grams.gram, grams.u, grams.col_sq_max, n)
 
     bic = np.full(candidates.size, np.inf)
     for i, d in enumerate(deltas):

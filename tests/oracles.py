@@ -35,9 +35,33 @@ def naive_basis(knots, order, dim, t):
     return np.array([b(i, order - 1) for i in range(dim)])
 
 
+def _equilibrate(w):
+    """w with every nonzero column scaled to unit norm; its span is unchanged.
+
+    The pseudo-inverse and lstsq cut singular values relative to the largest,
+    so columns on scales 1e16 apart would otherwise lose the small one.
+    """
+    norms = np.linalg.norm(w, axis=0)
+    return w / np.where(norms > 0.0, norms, 1.0)
+
+
 def dense_projector(w):
     """Orthogonal projector onto the column space of w, via pseudo-inverse."""
+    w = _equilibrate(w)
     return w @ np.linalg.pinv(w)
+
+
+def residual_pivot_ratio(blocks, cand):
+    """Smallest squared QR pivot of ``cand`` with the span of ``blocks``
+    projected out (dense projector), over its largest squared raw column
+    norm; 0 for an all-zero block."""
+    c = cand.matrix
+    if blocks:
+        c = c - dense_projector(np.hstack([b.matrix for b in blocks])) @ c
+    scale = float((cand.matrix**2).sum(axis=0).max())
+    if scale == 0.0:
+        return 0.0
+    return float((np.diag(np.linalg.qr(c, mode="r")) ** 2).min()) / scale
 
 
 def normal_equations_sigma_sq(blocks, y):
@@ -58,7 +82,7 @@ def lstsq_sigma_sq(blocks, y):
     n = y.shape[0]
     if not blocks:
         return float(y @ y) / n
-    w = np.hstack([b.matrix for b in blocks])
+    w = _equilibrate(np.hstack([b.matrix for b in blocks]))
     gamma, *_ = np.linalg.lstsq(w, y, rcond=None)
     resid = y - w @ gamma
     return float(resid @ resid) / n

@@ -283,5 +283,6 @@ def test_select_rejects_clashing_column_names(tmp_path, capsys, names, bad):
         ]
     )
     assert code == 2
-    assert bad in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert bad in err and str(data) in err
     assert not out.exists()

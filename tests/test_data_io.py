@@ -121,6 +121,17 @@ def test_dataset_invariants_enforced():
         vf.Dataset(**bad_nan)
 
 
+@pytest.mark.parametrize(
+    "names,bad",
+    [(["a", "t"], "'t'"), (["a", "a"], "'a'"), (["intercept", "a"], "'intercept'")],
+    ids=["grid-name", "duplicate", "intercept-name"],
+)
+def test_from_arrays_rejects_clashing_column_names(names, bad):
+    rng = np.random.default_rng(4)
+    with pytest.raises(DataError, match=bad):
+        vf.from_arrays(rng.standard_normal(10), rng.random(10), rng.standard_normal((10, 2)), names)
+
+
 def _small_fit():
     rng = np.random.default_rng(3)
     basis = vf.build_basis(5, 3)

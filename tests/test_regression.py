@@ -183,13 +183,21 @@ def test_rank_rule_agrees_across_kernel_and_cache():
     basis, t, x, y = _instance(21)
     cache = vf.build_projection_cache(_blocks(basis, t, x, [0, 1]), y)
     z = np.random.default_rng(22).standard_normal(len(t))
+    config = vf.EbicConfig(eta=0.0, patience=5)
     for eps, usable in ((1e-3, True), (1e-9, False)):
         cand = vf.design_block(basis, t, x[:, 1] + eps * z, covariate_index=2)
+        # The same twin as the last covariate of a dataset, and a twin of the
+        # intercept, the model that the marginal screen starts from.
+        ds = vf.from_arrays(y, t, np.column_stack([x[:, 1:], x[:, 1] + eps * z, 1.0 + eps * z]))
+        twin, intercept_twin = ds.p - 1, ds.p
+        forward = vf.run_forward(ds, basis, config, initial_set=(0, 1), candidate_pool=[twin])
+        ranked = vf.marginal_rank_screen(ds, basis, ds.p)
         if usable:
             delta, _ = vf.rss_reduction(cache, cand)
             assert delta >= 0.0
             assert vf.select_candidate(cache, [cand])[0] == 2
             assert vf.extend_cache(cache, cand).index_set == (0, 1, 2)
+            assert [s.index for s in forward.steps] == [twin]
         else:
             with pytest.raises(DegenerateCandidateError):
                 vf.rss_reduction(cache, cand)
@@ -197,6 +205,20 @@ def test_rank_rule_agrees_across_kernel_and_cache():
                 vf.select_candidate(cache, [cand])
             with pytest.raises(SingularDesignError):
                 vf.extend_cache(cache, cand)
+            assert forward.steps == () and forward.stop_reason == "candidates_exhausted"
+            full = vf.run_forward(ds, basis, config, initial_set=(0, 1))
+            assert twin not in [s.index for s in full.steps]
+        # The screen ranks like the explicit route: by variance drop, ties by
+        # index, degenerate covariates behind every usable one.
+        start = vf.build_projection_cache(_blocks(basis, t, ds.x, [0]), y)
+        drops = {}
+        for j in range(1, ds.p + 1):
+            try:
+                drops[j] = vf.rss_reduction(start, _blocks(basis, t, ds.x, [j])[0])[0]
+            except DegenerateCandidateError:
+                drops[j] = -np.inf
+        assert ranked == sorted(drops, key=lambda j: (-drops[j], j))
+        assert np.isfinite(drops[intercept_twin]) == usable
 
 
 def test_predict_constant_fit():

@@ -1,12 +1,17 @@
 """Forward-selection algorithm tests: criterion, stopping, rollback, screen."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vcforward as vf
+from vcforward import selection
 from vcforward.errors import ConfigError, NoCandidateError, NumericalError
+from vcforward.regression import CandidateGrams
+
+from oracles import lstsq_sigma_sq, residual_pivot_ratio
 
 
 def _noise_dataset(seed, n=200, p=20):
@@ -146,6 +151,117 @@ def test_select_candidate_agrees_with_brute_force_refits():
         sigmas = {j: vf.fit_full([blocks[0], blocks[j]], y).sigma_sq for j in range(1, p + 1)}
         j_brute = min(sigmas, key=lambda j: (sigmas[j], j))
         assert j_fast == j_brute
+
+
+def _adversarial_instance(rng):
+    """Small dataset whose columns hold a signal covariate ``base``, its
+    near-duplicate base + 1e-9 z, noise scaled by 1e8 and by 1e-8, an
+    all-zero column and plain noise, in random positions."""
+    n = int(rng.integers(60, 121))
+    p = int(rng.integers(6, 13))
+    t = rng.random(n)
+    base = rng.standard_normal(n)
+    special = [
+        base,
+        base + 1e-9 * rng.standard_normal(n),
+        1e8 * rng.standard_normal(n),
+        1e-8 * rng.standard_normal(n),
+        np.zeros(n),
+    ]
+    cols = special + [rng.standard_normal(n) for _ in range(p - len(special))]
+    order = rng.permutation(p)
+    x = np.column_stack([cols[i] for i in order])
+    position = [int(np.nonzero(order == i)[0][0]) + 1 for i in range(len(special))]
+    y = 2.0 * base * (1.0 + t) + rng.standard_normal(n)
+    return vf.from_arrays(y, t, x), position
+
+
+def test_run_forward_agrees_with_brute_force_refits_at_every_step():
+    basis = vf.build_basis(4, 3)
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        ds, (base, twin, _, _, zero) = _adversarial_instance(rng)
+        bmat = vf.basis_matrix(basis, ds.t)
+        blocks = {j: vf.DesignBlock(j, bmat * ds.x[:, j : j + 1]) for j in range(ds.p + 1)}
+        trace = vf.run_forward(
+            ds, basis, vf.EbicConfig(eta=0.0, patience=5), candidate_pool=range(1, ds.p + 1)
+        )
+        model = [0]
+        accepted = [s.index for s in trace.steps]
+        for j_run in accepted + [None]:
+            current = [blocks[j] for j in model]
+            ratios = {
+                j: residual_pivot_ratio(current, blocks[j])
+                for j in range(1, ds.p + 1)
+                if j not in model
+            }
+            # Keep the oracle's usability decisions clear of the rank rule's
+            # 1e-10 edge, where rounding may decide either way.
+            assert not any(1e-12 < r < 1e-8 for r in ratios.values()), ratios
+            sigmas = {
+                j: lstsq_sigma_sq(current + [blocks[j]], ds.y)
+                for j, r in ratios.items()
+                if r > 1e-10
+            }
+            if j_run is None:
+                if trace.stop_reason == "candidates_exhausted":
+                    assert not sigmas
+                break
+            best = min(sigmas.values())
+            want = min(j for j, s in sigmas.items() if s <= best * (1.0 + 1e-12))
+            assert j_run == want
+            model.append(j_run)
+        assert not {base, twin} <= set(accepted)
+        assert zero not in accepted
+
+
+def test_confirmation_rescores_until_the_winner_is_explicit():
+    # Downdated-Gram scores that put a degenerate twin first and misorder two
+    # usable candidates: the explicit re-scoring must still find the winner.
+    rng = np.random.default_rng(54)
+    n = 80
+    t = rng.random(n)
+    x = rng.standard_normal((n, 4))
+    x[:, 1] = x[:, 0] + 1e-9 * rng.standard_normal(n)
+    y = 2.0 * x[:, 0] + x[:, 2] * t + rng.standard_normal(n)
+    basis = vf.build_basis(5, 3)
+    bmat = vf.basis_matrix(basis, t)
+    cache = vf.build_projection_cache([vf.DesignBlock(0, bmat), vf.DesignBlock(1, bmat * x[:, :1])], y)
+    grams = CandidateGrams(bmat, x[:, 1:], cache.q, cache.residual_y)
+    want, _, _ = vf.select_candidate(
+        cache, [vf.DesignBlock(j, bmat * x[:, j - 1 : j]) for j in (2, 3, 4)]
+    )
+    assert want == 3
+    alive = np.ones(3, dtype=bool)
+    for scores in ([1e9, 1.0, 2.0], [1e9, 2.0, 2.0 * (1.0 + 1e-7)], [np.inf, 0.5, 0.0]):
+        pos = selection._confirmed_winner(cache, grams, np.array(scores), alive, "argmin_sigma")
+        assert pos == 1
+    with pytest.raises(NoCandidateError):
+        selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]), ~alive, "argmin_sigma")
+    # More tied candidates than one re-scoring batch: the tie goes to the
+    # first position.
+    copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), cache.q, cache.residual_y)
+    scores = np.ones(300)
+    assert selection._confirmed_winner(cache, copies, scores, scores > 0, "argmin_sigma") == 0
+
+
+def test_run_forward_memory_stays_below_the_candidate_tensor():
+    # x is 6.4 MB; one (n, p, dim) float64 stack of the candidate blocks
+    # would be 45 MB.
+    n, p = 400, 2000
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((n, p))
+    t = rng.random(n)
+    ds = vf.from_arrays(2.0 * x[:, 0] * t + rng.standard_normal(n), t, x)
+    basis = vf.build_basis(7, 4)
+    tracemalloc.start()
+    try:
+        trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, max_steps=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.steps) == 3
+    assert peak < 40e6, f"peak traced allocation {peak / 1e6:.1f} MB"
 
 
 def test_run_forward_noise_keeps_intercept_mostly():
