@@ -87,6 +87,15 @@ def _check_column_names(names, covariate_names) -> None:
             raise DataError(f"covariate column name {name!r} is reserved")
 
 
+def _constant_columns(x: np.ndarray) -> tuple[int, ...]:
+    """Covariate columns of ``x`` (j >= 1; column 0 is the intercept) whose
+    values are all equal, as Python ints, from one scan over x."""
+    cov = x[:, 1:]
+    if not cov.size:
+        return ()
+    return tuple(int(j) + 1 for j in np.flatnonzero(cov.max(axis=0) == cov.min(axis=0)))
+
+
 def from_arrays(y, t, x_covariates, names=None) -> Dataset:
     """Assemble a Dataset from raw covariates (no intercept column yet)."""
     x_cov = np.asarray(x_covariates, dtype=float)
@@ -96,15 +105,12 @@ def from_arrays(y, t, x_covariates, names=None) -> Dataset:
     names = tuple(names) if names is not None else tuple(f"x{j}" for j in range(1, p + 1))
     _check_column_names(names, names)
     x = np.column_stack([np.ones(n), x_cov])
-    const = tuple(
-        j for j in range(1, p + 1) if x[:, j].max() == x[:, j].min()
-    )
     return Dataset(
         y=y,
         t=t,
         x=x,
         column_names=(INTERCEPT_NAME, *names),
-        constant_columns=const,
+        constant_columns=_constant_columns(x),
     )
 
 
@@ -180,12 +186,11 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
 
     x = np.column_stack([np.ones(n), parsed[:, cov_pos]])
     names = (INTERCEPT_NAME, *(header[i] for i in cov_pos))
-    const = tuple(j for j in range(1, len(cov_pos) + 1) if x[:, j].max() == x[:, j].min())
     return Dataset(
         y=parsed[:, y_pos],
         t=t,
         x=x,
         column_names=names,
         rescale_map=rescale,
-        constant_columns=const,
+        constant_columns=_constant_columns(x),
     )

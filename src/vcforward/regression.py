@@ -175,6 +175,11 @@ def residualize(cache: ProjectionCache, w_stack: np.ndarray):
     return gram, u, np.einsum("nkl,nkl->kl", w_stack, w_stack).max(axis=1)
 
 
+# Covariate columns per GEMM when the raw Grams are formed, so that the
+# squared covariates exist one block at a time.
+GRAM_BLOCK_COLUMNS = 256
+
+
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker products: column (i, l) of the result is a_i * b_l."""
     return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
@@ -184,13 +189,16 @@ class CandidateGrams:
     """Kernel inputs of the blocks W_j = diag(x_j) B, from products over x.
 
     With B the (n, dim) basis matrix and x the (n, k) candidate covariates,
-    the raw Grams are one GEMM, (B_l B_m)^T x^2, and their diagonals give
-    the rank rule's scale. The model's orthonormal columns Q come off as
-    G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the cross products with the
-    residual r, which is orthogonal to Q, are (B r)^T x; after each accepted
-    block both come from one more GEMM over x. So memory stays
-    O(n k + k dim^2): no (n, k, dim) stack is formed. ``gram`` and ``u``
-    are laid out as ``sweep`` takes them.
+    the raw Grams are GEMMs (B_l B_m)^T x^2 over the lower triangle l >= m,
+    one block of GRAM_BLOCK_COLUMNS columns of x at a time, and their
+    diagonals give the rank rule's scale. The model's orthonormal columns Q
+    come off as G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the cross
+    products with the residual r, which is orthogonal to Q, are (B r)^T x;
+    after each accepted block both come from one more GEMM over x. So
+    memory stays O(n k + k dim^2): no (n, k, dim) stack and no copy of x is
+    formed, and ``x`` may be a view. ``gram`` and ``u`` are laid out as
+    ``sweep`` takes them; only the lower triangle and diagonal of ``gram``
+    are kept, which is all ``sweep`` reads, and the upper triangle is zero.
 
     A downdated Gram squares each block's condition number, so a winner is
     confirmed on explicitly residualized blocks (``blocks``, ``residualize``)
@@ -202,7 +210,12 @@ class CandidateGrams:
         self.bmat = bmat
         self.x = x
         k, dim = x.shape[1], bmat.shape[1]
-        self.gram = (_row_products(bmat, bmat).T @ (x * x)).reshape(dim, dim, k)
+        rows, cols = np.tril_indices(dim)
+        products = (bmat[:, rows] * bmat[:, cols]).T
+        self.gram = np.zeros((dim, dim, k))
+        for start in range(0, k, GRAM_BLOCK_COLUMNS):
+            block = x[:, start : start + GRAM_BLOCK_COLUMNS]
+            self.gram[rows, cols, start : start + block.shape[1]] = products @ (block * block)
         self.col_sq_max = np.diagonal(self.gram).max(axis=1)
         self.update(q, r)
 
@@ -213,7 +226,8 @@ class CandidateGrams:
         left = np.hstack([_row_products(q, self.bmat), self.bmat * r[:, None]])
         prod = left.T @ self.x
         c = prod[: m * dim].reshape(m, dim, k)
-        self.gram -= np.einsum("alk,amk->lmk", c, c, optimize=True)
+        for l in range(dim):
+            self.gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
         self.u = prod[m * dim :]
 
     def blocks(self, positions) -> np.ndarray:
@@ -226,9 +240,11 @@ def sweep(gram: np.ndarray, u: np.ndarray, raw_col_sq_max: np.ndarray, n: int):
 
     Candidate i's Gram with the model span projected out is gram[:, :, i]
     and its cross products with the residual response are u[:, i]; both
-    routes build them, ``residualize`` from explicit blocks and
-    ``CandidateGrams`` from products over x. Each Gram is Cholesky-factored,
-    vectorized over candidates with a loop over its ``dim`` columns.
+    routes build them, ``residualize`` from explicit blocks (full Grams)
+    and ``CandidateGrams`` from products over x (lower triangles). Only the
+    lower triangle and diagonal, gram[l, m] with l >= m, are read. Each
+    Gram is Cholesky-factored, vectorized over candidates with a loop over
+    its ``dim`` columns.
     ``raw_col_sq_max`` feeds the rank rule: a candidate with a failing pivot
     is degenerate and gets delta = -inf and zero coefficients.
 

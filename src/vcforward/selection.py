@@ -218,6 +218,15 @@ def _covariate_block(dataset: Dataset, bmat: np.ndarray, j: int) -> DesignBlock:
     return DesignBlock(j, bmat * dataset.x[:, j : j + 1])
 
 
+def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
+    """The columns of x at the sorted, distinct ``pool_idx``: a view when
+    they form one contiguous range (the default pool without constant
+    columns), a gathered copy otherwise."""
+    if pool_idx.size and pool_idx[-1] - pool_idx[0] + 1 == pool_idx.size:
+        return x[:, pool_idx[0] : pool_idx[-1] + 1]
+    return x[:, pool_idx]
+
+
 def run_forward(
     dataset: Dataset,
     basis: SplineBasis,
@@ -295,7 +304,7 @@ def run_forward(
     alive = np.ones(pool_idx.size, dtype=bool)
     # The candidates' Grams are kept current: after each acceptance only the
     # newly added orthonormal directions are projected out.
-    grams = CandidateGrams(bmat, dataset.x[:, pool_idx], cache.q, cache.residual_y)
+    grams = CandidateGrams(bmat, _pool_columns(dataset.x, pool_idx), cache.q, cache.residual_y)
 
     steps: list[SelectionStep] = []
     sigma_prev, ebic_prev = sigma0, ebic0
@@ -368,14 +377,11 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     grams = CandidateGrams(bmat, dataset.x[:, 1:], cache.q, cache.residual_y)
     deltas, _ = sweep(grams.gram, grams.u, grams.col_sq_max, n)
 
-    bic = np.full(candidates.size, np.inf)
-    for i, d in enumerate(deltas):
-        if not np.isfinite(d):
-            continue
-        sigma_j = cache.sigma_sq - d
-        if sigma_j <= 0.0:
-            bic[i] = -np.inf
-        else:
-            bic[i] = ebic(sigma_j, 2, n, dataset.p, dim, 0.0)
+    # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
+    # exact fit first. The criterion at sigma_sq = 1 is its penalty alone.
+    sigma_j = cache.sigma_sq - deltas
+    bic = np.full(sigma_j.size, -np.inf)
+    fits = sigma_j > 0.0
+    bic[fits] = n * np.log(sigma_j[fits]) + ebic(1.0, 2, n, dataset.p, dim, 0.0)
     order = np.argsort(bic, kind="stable")
     return [int(candidates[i]) for i in order[:keep_k]]

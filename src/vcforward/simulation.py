@@ -130,7 +130,9 @@ def _draw(scenario: SimScenario, rng: np.random.Generator, size: int) -> Dataset
     u2 = rng.random(size)
     z = rng.standard_normal((size, scenario.p))
     eps = rng.standard_normal(size)
-    x = (z + scenario.t1 * u1[:, None]) / (1.0 + scenario.t1)
+    # x = (z + t1 u1) / (1 + t1), rounded as written but computed in z.
+    x = np.add(z, scenario.t1 * u1[:, None], out=z)
+    np.divide(x, 1.0 + scenario.t1, out=x)
     t = (u2 + scenario.t2 * u1) / (1.0 + scenario.t2)
     y = eps.copy()
     for j, coeff in EXAMPLE_COEFFS[scenario.example_id].items():

@@ -107,3 +107,27 @@ def random_instance(rng, n=None, p=None, dim=None, order=None, n_initial=0):
         int(v) for v in rng.choice(np.arange(1, p + 1), size=n_initial, replace=False)
     )
     return t, x, y, dim, order, initial
+
+
+def benchmark_draw(coeffs, seed, rep_index, purpose, size, p, t1, t2):
+    """One benchmark draw, written out from the generators' stated law.
+
+    The stream is keyed by (seed, rep_index, purpose); values are drawn in
+    the order u1, u2, z, eps and combined out of place as
+    x_j = (z_j + t1 u1) / (1 + t1), t = (u2 + t2 u1) / (1 + t2) and
+    y = eps + sum_j coeffs[j](t) x_j, summed in the order of ``coeffs``.
+    Returns (y, t, x, constant_columns) with x the raw (size, p) covariates
+    and constant_columns the 1-based indices of columns with one value.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, rep_index, purpose)))
+    u1 = rng.random(size)
+    u2 = rng.random(size)
+    z = rng.standard_normal((size, p))
+    eps = rng.standard_normal(size)
+    x = (z + t1 * u1[:, None]) / (1.0 + t1)
+    t = (u2 + t2 * u1) / (1.0 + t2)
+    y = eps.copy()
+    for j, coeff in coeffs.items():
+        y = y + coeff(t) * x[:, j - 1]
+    constant = tuple(j + 1 for j in range(p) if len(set(x[:, j].tolist())) == 1)
+    return y, t, x, constant

@@ -286,3 +286,38 @@ def test_select_rejects_clashing_column_names(tmp_path, capsys, names, bad):
     err = capsys.readouterr().err
     assert bad in err and str(data) in err
     assert not out.exists()
+
+
+def test_select_excludes_constant_columns_and_reports_them(tmp_path, capsys):
+    # Covariates: c_first (constant), x1 (signal), zeros (0.0 and -0.0
+    # mixed, so constant), x2, c_last (constant).
+    rng = np.random.default_rng(17)
+    n = 120
+    t = rng.random(n)
+    x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    cov = np.column_stack([np.full(n, 3.5), x1, zeros, x2, np.full(n, -1.25)])
+    y = 3.0 * x1 * (1.0 + t) + 0.5 * rng.standard_normal(n)
+    names = ["c_first", "x1", "zeros", "x2", "c_last"]
+    data = tmp_path / "const.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["y", "t", *names]) + "\n")
+        for i in range(n):
+            cells = [y[i], t[i], *cov[i]]
+            fh.write(",".join(repr(float(v)) for v in cells) + "\n")
+    assert "-0.0" in data.read_text() and ",0.0," in data.read_text()
+    out = tmp_path / "r.json"
+    code = main(
+        ["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
+         "--L", "5", "--no-timestamp", "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    report = json.loads(out.read_text())
+    constant = report["dataset"]["constant_columns"]
+    assert constant == [1, 3, 5]
+    assert all(type(j) is int for j in constant)
+    for name in ("c_first", "zeros", "c_last"):
+        assert f"constant covariate {name!r} excluded from candidates" in report["warnings"]
+    assert not set(constant) & set(report["selection"]["final_set"])
+    assert 2 in report["selection"]["final_set"]
+    assert vf.from_arrays(y, t, cov, names=names).constant_columns == (1, 3, 5)

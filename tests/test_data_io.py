@@ -119,6 +119,8 @@ def test_dataset_invariants_enforced():
     bad_nan = dict(good, y=np.array([0.0, np.nan, 1.0]))
     with pytest.raises(DataError):
         vf.Dataset(**bad_nan)
+    with pytest.raises(DataError, match="no rows"):
+        vf.from_arrays(np.zeros(0), np.zeros(0), np.zeros((0, 2)))
 
 
 @pytest.mark.parametrize(

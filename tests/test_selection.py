@@ -264,6 +264,26 @@ def test_run_forward_memory_stays_below_the_candidate_tensor():
     assert peak < 40e6, f"peak traced allocation {peak / 1e6:.1f} MB"
 
 
+def test_run_forward_neither_copies_nor_squares_x():
+    # The default pool is every covariate: the forward pass reads it as a
+    # view of x and squares it one column block at a time, so its traced
+    # peak stays below one copy of x.
+    n, p = 400, 2000
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((n, p))
+    t = rng.random(n)
+    ds = vf.from_arrays(2.0 * x[:, 0] * t + rng.standard_normal(n), t, x)
+    basis = vf.build_basis(7, 4)
+    tracemalloc.start()
+    try:
+        trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, max_steps=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.steps) == 3
+    assert peak < ds.x.nbytes, f"peak traced allocation {peak / 1e6:.1f} MB"
+
+
 def test_run_forward_noise_keeps_intercept_mostly():
     # With pure noise the criterion should rise immediately for the first
     # candidate in nearly every seeded run.
@@ -357,6 +377,10 @@ def test_run_forward_exhausts_small_pool():
     trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, patience=10))
     assert trace.stop_reason == "candidates_exhausted"
     assert len(trace.steps) == 3
+    # A pool left empty once the initial set is taken out.
+    for pool in ([], [0]):
+        empty = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0), candidate_pool=pool)
+        assert empty.stop_reason == "candidates_exhausted" and empty.steps == ()
 
 
 def test_run_forward_candidate_pool_restriction():
@@ -416,6 +440,30 @@ def test_marginal_screen_duplicate_truth_ranked_adjacent():
     # Columns 4 and 5 carry the same signal; they must head the ranking in
     # index order.
     assert ranked[:2] == [4, 5]
+
+
+def test_marginal_screen_ranks_exact_fits_first_ties_by_index_degenerate_last(monkeypatch):
+    ds = _noise_dataset(12, n=100, p=7)
+    basis = vf.build_basis(5, 4)
+    bmat = vf.basis_matrix(basis, ds.t)
+    sigma0 = vf.build_projection_cache([vf.DesignBlock(0, bmat)], ds.y).sigma_sq
+    # Variance drops of covariates 1..7: 3 and 5 fit exactly (5 overshoots
+    # to a negative variance), 1 and 4 tie, 2 is degenerate.
+    deltas = sigma0 * np.array([0.5, -np.inf, 1.0, 0.5, 2.0, 0.1, 0.0])
+    monkeypatch.setattr(selection, "sweep", lambda *args: (deltas, None))
+    ranked = vf.marginal_rank_screen(ds, basis, ds.p)
+    assert ranked == [3, 5, 1, 4, 6, 7, 2]
+    # The same order as scoring each candidate's BIC one at a time.
+    bic = []
+    for d in deltas:
+        sigma_j = sigma0 - d
+        if not np.isfinite(d):
+            bic.append(math.inf)
+        elif sigma_j <= 0.0:
+            bic.append(-math.inf)
+        else:
+            bic.append(vf.ebic(sigma_j, 2, ds.n, ds.p, basis.dim, 0.0))
+    assert ranked == [int(i) + 1 for i in np.argsort(bic, kind="stable")]
 
 
 def test_marginal_screen_keep_k_bounds():

@@ -9,6 +9,8 @@ import vcforward as vf
 from vcforward.errors import ConfigError, DataError
 from vcforward.simulation import EXAMPLE_COEFFS
 
+from oracles import benchmark_draw
+
 
 def test_scenario_validation():
     with pytest.raises(ConfigError):
@@ -45,6 +47,23 @@ def test_generate_reproducible_and_split():
     c_train, _, _ = vf.generate(sc, 4)
     assert not np.array_equal(a_train.y, c_train.y)
     assert not np.array_equal(a_train.y[: a_test.n], a_test.y)
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+@pytest.mark.parametrize("t1,t2", [(0.0, 0.0), (3.0, 1.0)])
+def test_generate_matches_the_oracle_draw_bit_for_bit(example, t1, t2):
+    sc = vf.SimScenario(example, n=60, p=25, t1=t1, t2=t2, seed=41, reps=3)
+    for rep in (0, 2):
+        train, test, _ = vf.generate(sc, rep)
+        for purpose, ds in ((0, train), (1, test)):
+            y, t, x, constant = benchmark_draw(
+                EXAMPLE_COEFFS[example], 41, rep, purpose, ds.n, sc.p, t1, t2
+            )
+            assert ds.y.tobytes() == y.tobytes()
+            assert ds.t.tobytes() == t.tobytes()
+            assert ds.x[:, 1:].tobytes() == x.tobytes()
+            assert ds.x[:, 0].tobytes() == np.ones(ds.n).tobytes()
+            assert ds.constant_columns == constant == ()
 
 
 def test_generate_index_variable_in_unit_interval():
