@@ -32,7 +32,7 @@ from .selection import (
     run_forward,
 )
 from .simulation import SimScenario, _rep_task, aggregate, snr
-from .splines import DesignBlock, basis_matrix, build_basis
+from .splines import basis_matrix, build_basis
 
 # Run settings: key -> (cast of a scenario-file value, default). A flag wins
 # over the scenario file, which wins over the default. ``select`` reads the
@@ -134,14 +134,25 @@ def _parse_initial(arg: str, column_names) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cmd_select(args) -> int:
-    _apply_settings(args, {})
+def _stopping_rule(args) -> tuple[EbicConfig, str]:
+    """The forward pass's stopping rule and criterion from resolved settings."""
     if args.eta_rule == "auto" and args.eta is not None:
         raise ConfigError("--eta conflicts with --eta-rule auto")
-    eta = args.eta if args.eta is not None else 0.0
+    criterion = _CRITERION_FLAG.get(args.criterion, args.criterion)
+    if criterion not in CRITERIA:
+        raise ConfigError(f"unknown criterion {args.criterion!r}")
     config = EbicConfig(
-        eta=eta, eta_rule=args.eta_rule, patience=args.patience, max_steps=args.max_steps
+        eta=args.eta if args.eta is not None else 0.0,
+        eta_rule=args.eta_rule,
+        patience=args.patience,
+        max_steps=getattr(args, "max_steps", None),
     )
+    return config, criterion
+
+
+def cmd_select(args) -> int:
+    _apply_settings(args, {})
+    config, criterion = _stopping_rule(args)
     basis = build_basis(args.L, args.order)
     dataset = load_csv(args.data, args.y_column, args.t_column, min_rows=2 * args.L)
 
@@ -162,14 +173,10 @@ def cmd_select(args) -> int:
     pool = None
     if args.screen_k > 0:
         pool = marginal_rank_screen(dataset, basis, args.screen_k)
-    criterion = _CRITERION_FLAG[args.criterion]
     trace = run_forward(
         dataset, basis, config, initial_set=initial, candidate_pool=pool, criterion=criterion
     )
-
-    bmat = basis_matrix(basis, dataset.t)
-    blocks = [DesignBlock(j, bmat * dataset.x[:, j : j + 1]) for j in trace.final_set]
-    fit = fit_full(blocks, dataset.y)
+    fit = fit_full(trace.final_cache, dataset.y)
     grid = curve_grid()
     curves = selection_curves(fit, basis, dataset.column_names, grid)
 
@@ -267,17 +274,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         reps=args.reps,
     )
-    if args.eta_rule == "auto" and args.eta is not None:
-        raise ConfigError("eta conflicts with eta_rule auto")
-    criterion = _CRITERION_FLAG.get(args.criterion, args.criterion)
-    if criterion not in CRITERIA:
-        raise ConfigError(f"unknown criterion {args.criterion!r}")
-
-    config = EbicConfig(
-        eta=args.eta if args.eta is not None else 0.0,
-        eta_rule=args.eta_rule,
-        patience=args.patience,
-    )
+    config, criterion = _stopping_rule(args)
     build_basis(args.L, args.order)  # validate early
 
     tasks = [

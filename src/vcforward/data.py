@@ -172,6 +172,8 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
     n = parsed.shape[0]
     if min_rows is not None and n < min_rows:
         raise DataError(f"{path}: {n} rows is too few; at least {min_rows} required")
+    if not n:
+        raise DataError(f"{path}: no data rows")
 
     t_raw = parsed[:, t_pos]
     t_min, t_max = float(t_raw.min()), float(t_raw.max())

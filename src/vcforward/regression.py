@@ -43,9 +43,9 @@ class FitResult:
 
     ``gamma`` stacks one spline coefficient vector per covariate, in
     ``index_set`` order. ``sigma_sq`` is the residual sum of squares over n.
-    ``rank_ok`` is True on every fit that ``fit_full`` returns, since a
-    rank-deficient design raises instead; the field is kept because the
-    benchmark's traced runs (``perfbench/spans.py``) read it.
+    ``rank_ok`` is True on every fit, since a rank-deficient design cannot
+    be factored; the field is kept because the benchmark's traced runs
+    (``perfbench/spans.py``) read it.
     """
 
     index_set: tuple[int, ...]
@@ -85,17 +85,14 @@ def _check_blocks(blocks: list[DesignBlock], y: np.ndarray) -> None:
             )
 
 
-def fit_full(blocks: list[DesignBlock], y: np.ndarray) -> FitResult:
-    """Least-squares fit of y on the stacked blocks.
+def fit_full(cache: ProjectionCache, y: np.ndarray) -> FitResult:
+    """Least-squares fit of y on the design that ``cache`` factors.
 
-    Builds the projection cache and solves R gamma = Q^T y. Returns the
-    coefficients and the variance estimate sigma_sq = RSS / n. Raises
-    OverparameterizedError when the stacked design has more columns than
-    rows and SingularDesignError when it is rank deficient.
+    One triangular solve R gamma = Q^T y on the cache's W = QR factor, such
+    as ``SelectionTrace.final_cache`` or ``build_projection_cache``'s; the
+    variance estimate sigma_sq = RSS / n is the cache's. Never raises.
     """
-    y = np.asarray(y, dtype=float)
-    cache = build_projection_cache(blocks, y)
-    gamma = scipy.linalg.solve_triangular(cache.r, cache.q.T @ y)
+    gamma = scipy.linalg.solve_triangular(cache.r, cache.q.T @ np.asarray(y, dtype=float))
     return FitResult(cache.index_set, gamma, cache.sigma_sq, True)
 
 
@@ -128,7 +125,11 @@ def _append_orthonormal(
 
 
 def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> ProjectionCache:
-    """Factor the span of the given blocks and residualize y against it."""
+    """Factor the span of the given blocks and residualize y against it.
+
+    Raises OverparameterizedError when the stacked design has more columns
+    than rows and SingularDesignError when it is rank deficient.
+    """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     _check_blocks(blocks, y)

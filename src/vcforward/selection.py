@@ -11,7 +11,7 @@ smallest criterion value seen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,6 +117,9 @@ class SelectionTrace:
     ``final_set`` is the initial set plus the prefix of accepted indices up
     to the smallest criterion value (rollback). ``stop_reason`` is one of
     "patience_exhausted", "max_steps", "candidates_exhausted", "exact_fit".
+    ``final_cache`` is the pass's own W = QR factor of ``final_set``, so
+    ``fit_full(final_cache, y)`` refits the selected model with one
+    triangular solve.
     """
 
     initial_set: tuple[int, ...]
@@ -126,6 +129,7 @@ class SelectionTrace:
     sigma_sq_initial: float
     ebic_initial: float
     eta: float
+    final_cache: ProjectionCache = field(compare=False, repr=False)
 
     @property
     def sigma_sq_path(self) -> list[float]:
@@ -295,9 +299,7 @@ def run_forward(
 
     sigma0 = cache.sigma_sq
     if sigma0 <= 0.0:
-        return SelectionTrace(
-            initial, (), initial, "exact_fit", sigma0, -math.inf, eta
-        )
+        return SelectionTrace(initial, (), initial, "exact_fit", sigma0, -math.inf, eta, cache)
     ebic0 = ebic(sigma0, len(initial), n, dataset.p, dim, eta)
 
     pool_idx = np.array(sorted(pool), dtype=int)
@@ -308,7 +310,7 @@ def run_forward(
 
     steps: list[SelectionStep] = []
     sigma_prev, ebic_prev = sigma0, ebic0
-    best_val, best_len = ebic0, 0
+    best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
     stop = None
     while True:
@@ -343,13 +345,13 @@ def run_forward(
         delta = sigma_prev - sigma
         if sigma <= 0.0:
             steps.append(SelectionStep(j, sigma, -math.inf, delta))
-            best_val, best_len = -math.inf, len(steps)
+            best_val, best_len, best_cache = -math.inf, len(steps), cache
             stop = "exact_fit"
             break
         e = ebic(sigma, len(initial) + len(steps) + 1, n, dataset.p, dim, eta)
         steps.append(SelectionStep(j, sigma, e, delta))
         if e < best_val:
-            best_val, best_len = e, len(steps)
+            best_val, best_len, best_cache = e, len(steps), cache
         streak = streak + 1 if e > ebic_prev else 0
         if streak >= config.patience:
             stop = "patience_exhausted"
@@ -357,7 +359,7 @@ def run_forward(
         sigma_prev, ebic_prev = sigma, e
 
     final = initial + tuple(s.index for s in steps[:best_len])
-    return SelectionTrace(initial, tuple(steps), final, stop, sigma0, ebic0, eta)
+    return SelectionTrace(initial, tuple(steps), final, stop, sigma0, ebic0, eta, best_cache)
 
 
 def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> list[int]:

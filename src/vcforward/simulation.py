@@ -23,7 +23,8 @@ from .data import Dataset, from_arrays
 from .errors import ConfigError, DataError
 from .regression import FitResult, fit_full, predict_response
 from .selection import EbicConfig, SelectionTrace, marginal_rank_screen, run_forward
-from .splines import DesignBlock, SplineBasis, basis_matrix, build_basis
+# basis_matrix is unused here; perfbench/spans.py WRAPS wraps this import.
+from .splines import SplineBasis, basis_matrix, build_basis
 
 _PURPOSE_TRAIN = 0
 _PURPOSE_TEST = 1
@@ -258,11 +259,7 @@ def run_rep(
         candidate_pool=pool,
         criterion=criterion,
     )
-    bmat = basis_matrix(basis, train.t)
-    blocks = [
-        DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in trace.final_set
-    ]
-    fit = fit_full(blocks, train.y)
+    fit = fit_full(trace.final_cache, train.y)
     metrics = evaluate_rep(trace.final_set, support, fit, basis, test)
     return metrics, trace
 

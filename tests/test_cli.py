@@ -102,6 +102,32 @@ def test_select_too_few_rows_is_data_error(tmp_path):
     ) == 2
 
 
+def test_select_rank_deficient_initial_set_is_numerical_error(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    n = 60
+    a = rng.standard_normal(n)
+    cols = {"y": rng.standard_normal(n), "t": rng.random(n), "a": a, "b": a.copy()}
+    data = tmp_path / "twins.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(cols) + "\n")
+        for i in range(n):
+            fh.write(",".join(repr(float(v[i])) for v in cols.values()) + "\n")
+    out = tmp_path / "report.json"
+    code = main(
+        [
+            "select",
+            "--data", str(data),
+            "--y-column", "y",
+            "--t-column", "t",
+            "--initial", "intercept,a,b",
+            "--out", str(out),
+        ]
+    )
+    assert code == 3
+    assert "numerical error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_report_bytes_deterministic(tmp_path):
     data = _noise_csv(tmp_path / "d.csv", seed=9)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

@@ -69,6 +69,13 @@ def test_load_too_few_rows(tmp_path):
         vf.load_csv(path, "y", "t", min_rows=10)
 
 
+def test_load_header_only_file_is_data_error(tmp_path):
+    path = tmp_path / "header_only.csv"
+    _write_csv(path, ["y", "t", "a"], [])
+    with pytest.raises(DataError, match=r"header_only\.csv: no data rows"):
+        vf.load_csv(path, "y", "t")
+
+
 def test_load_flags_constant_covariates(tmp_path):
     path = tmp_path / "const.csv"
     _write_csv(
@@ -145,7 +152,7 @@ def _small_fit():
     trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, patience=2))
     bmat = vf.basis_matrix(basis, t)
     blocks = [vf.DesignBlock(j, bmat * ds.x[:, j : j + 1]) for j in trace.final_set]
-    fit = vf.fit_full(blocks, y)
+    fit = vf.fit_full(vf.build_projection_cache(blocks, y), y)
     return ds, basis, trace, fit
 
 
@@ -204,7 +211,7 @@ def test_curves_intercept_only_selection(tmp_path):
     trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, patience=2))
     assert trace.final_set == (0,)
     bmat = vf.basis_matrix(basis, ds.t)
-    fit = vf.fit_full([vf.DesignBlock(0, bmat)], ds.y)
+    fit = vf.fit_full(vf.build_projection_cache([vf.DesignBlock(0, bmat)], ds.y), ds.y)
     grid = curve_grid()
     curves = selection_curves(fit, basis, ds.column_names, grid)
     path = tmp_path / "c.csv"

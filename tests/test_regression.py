@@ -29,7 +29,7 @@ def _instance(seed, n=60, p=6, dim=5, order=3):
 def test_fit_full_empty_set():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(30)
-    fit = vf.fit_full([], y)
+    fit = vf.fit_full(vf.build_projection_cache([], y), y)
     assert fit.index_set == ()
     assert fit.gamma.size == 0
     assert fit.sigma_sq == pytest.approx(float(y @ y) / 30)
@@ -40,7 +40,7 @@ def test_fit_full_exact_when_y_in_span():
     blocks = _blocks(basis, t, x, [0, 1])
     gamma_true = np.arange(1.0, 2.0 * basis.dim + 1.0)
     y = np.hstack([b.matrix for b in blocks]) @ gamma_true
-    fit = vf.fit_full(blocks, y)
+    fit = vf.fit_full(vf.build_projection_cache(blocks, y), y)
     assert fit.sigma_sq <= 1e-12
     assert fit.rank_ok
 
@@ -48,7 +48,7 @@ def test_fit_full_exact_when_y_in_span():
 def test_fit_full_matches_normal_equations():
     basis, t, x, y = _instance(2, n=50, p=4, dim=5)
     blocks = _blocks(basis, t, x, [0, 2, 4])
-    fit = vf.fit_full(blocks, y)
+    fit = vf.fit_full(vf.build_projection_cache(blocks, y), y)
     want = normal_equations_sigma_sq(blocks, y)
     assert fit.sigma_sq == pytest.approx(want, rel=1e-8)
     assert fit.index_set == (0, 2, 4)
@@ -58,20 +58,20 @@ def test_fit_full_matches_normal_equations():
 def test_fit_full_overparameterized():
     basis, t, x, y = _instance(3, n=9, dim=5)
     with pytest.raises(OverparameterizedError):
-        vf.fit_full(_blocks(basis, t, x, [0, 1]), y)
+        vf.build_projection_cache(_blocks(basis, t, x, [0, 1]), y)
 
 
 def test_fit_full_rank_deficient_raises():
     basis, t, x, y = _instance(4)
     dup = _blocks(basis, t, x, [1, 1])
     with pytest.raises(SingularDesignError):
-        vf.fit_full(dup, y)
+        vf.build_projection_cache(dup, y)
 
 
 def test_sigma_never_exceeds_raw_second_moment():
     for seed in range(5):
         basis, t, x, y = _instance(10 + seed)
-        fit = vf.fit_full(_blocks(basis, t, x, [0, 1, 3]), y)
+        fit = vf.fit_full(vf.build_projection_cache(_blocks(basis, t, x, [0, 1, 3]), y), y)
         assert fit.sigma_sq <= float(y @ y) / len(y) + 1e-12
 
 
@@ -98,7 +98,8 @@ def test_cache_matches_dense_projector():
     w = np.hstack([b.matrix for b in blocks])
     resid_oracle = y - dense_projector(w) @ y
     np.testing.assert_allclose(cache.residual_y, resid_oracle, atol=1e-9)
-    assert cache.sigma_sq == pytest.approx(vf.fit_full(blocks, y).sigma_sq, rel=1e-10)
+    fit = vf.fit_full(vf.build_projection_cache(blocks, y), y)
+    assert cache.sigma_sq == pytest.approx(fit.sigma_sq, rel=1e-10)
 
 
 def test_extend_cache_equals_rebuild():
@@ -140,13 +141,13 @@ def test_rss_reduction_matches_two_full_fits():
     current = [0, 3]
     blocks = _blocks(basis, t, x, current)
     cache = vf.build_projection_cache(blocks, y)
-    sigma_s = vf.fit_full(blocks, y).sigma_sq
+    sigma_s = vf.fit_full(vf.build_projection_cache(blocks, y), y).sigma_sq
     for l in range(1, p + 1):
         if l in current:
             continue
         cand = vf.design_block(basis, t, x[:, l], covariate_index=l)
         delta, gamma = vf.rss_reduction(cache, cand)
-        sigma_sl = vf.fit_full(blocks + [cand], y).sigma_sq
+        sigma_sl = vf.fit_full(vf.build_projection_cache(blocks + [cand], y), y).sigma_sq
         assert delta == pytest.approx(sigma_s - sigma_sl, rel=1e-8, abs=1e-12)
         assert gamma.shape == (basis.dim,)
 
@@ -157,7 +158,7 @@ def test_rss_reduction_gamma_matches_full_fit_coefficients():
     cache = vf.build_projection_cache(blocks, y)
     cand = _blocks(basis, t, x, [4])[0]
     _, gamma = vf.rss_reduction(cache, cand)
-    full = vf.fit_full(blocks + [cand], y)
+    full = vf.fit_full(vf.build_projection_cache(blocks + [cand], y), y)
     np.testing.assert_allclose(gamma, full.gamma[2 * basis.dim :], atol=1e-9)
 
 
@@ -226,7 +227,8 @@ def test_predict_constant_fit():
     n = len(t)
     c = 3.25
     block = _blocks(basis, t, x, [0])[0]
-    fit = vf.fit_full([block], np.full(n, c))
+    y = np.full(n, c)
+    fit = vf.fit_full(vf.build_projection_cache([block], y), y)
     grid = np.array([0.0, 0.31, 0.77, 1.0])
     yhat = vf.predict_response(fit, basis, grid, np.ones((4, 1)))
     np.testing.assert_allclose(yhat, c, atol=1e-10)
@@ -250,7 +252,7 @@ def test_predict_saturated_fit_reproduces_y():
         vf.design_block(basis, t, x[:, 0], covariate_index=0),
         vf.design_block(basis, t, x[:, 1], covariate_index=1),
     ]
-    fit = vf.fit_full(blocks, y)
+    fit = vf.fit_full(vf.build_projection_cache(blocks, y), y)
     yhat = vf.predict_response(fit, basis, t, x)
     np.testing.assert_allclose(yhat, y, atol=1e-8)
 
@@ -275,7 +277,7 @@ def test_coefficient_curve_zero_and_endpoint():
 def test_coefficient_curve_consistent_with_predict():
     basis, t, x, y = _instance(19)
     blocks = _blocks(basis, t, x, [0, 2])
-    fit = vf.fit_full(blocks, y)
+    fit = vf.fit_full(vf.build_projection_cache(blocks, y), y)
     grid = np.linspace(0.0, 1.0, 9)
     curve = vf.coefficient_curve(fit, basis, 2, grid)
     # Covariate 2 set to one and the intercept to zero isolate its curve.

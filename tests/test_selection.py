@@ -148,7 +148,10 @@ def test_select_candidate_agrees_with_brute_force_refits():
         cache = vf.build_projection_cache([blocks[0]], y)
         pool = [blocks[j] for j in range(1, p + 1)]
         j_fast, _, _ = vf.select_candidate(cache, pool)
-        sigmas = {j: vf.fit_full([blocks[0], blocks[j]], y).sigma_sq for j in range(1, p + 1)}
+        sigmas = {
+            j: vf.build_projection_cache([blocks[0], blocks[j]], y).sigma_sq
+            for j in range(1, p + 1)
+        }
         j_brute = min(sigmas, key=lambda j: (sigmas[j], j))
         assert j_fast == j_brute
 
@@ -347,7 +350,7 @@ def test_run_forward_rollback_minimizes_ebic_over_prefixes():
     for k, step in enumerate(trace.steps, start=1):
         prefix.append(step.index)
         blocks = [vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in prefix]
-        sigma = vf.fit_full(blocks, train.y).sigma_sq
+        sigma = vf.fit_full(vf.build_projection_cache(blocks, train.y), train.y).sigma_sq
         want = vf.ebic(sigma, len(prefix), train.n, train.p, basis.dim, 0.0)
         assert step.ebic == pytest.approx(want, rel=1e-9)
 
@@ -410,6 +413,42 @@ def test_run_forward_empty_initial_set():
     trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5), initial_set=())
     assert trace.initial_set == ()
     assert trace.steps
+
+
+def _rebuilt_fit(dataset, basis, index_set):
+    """Fit of ``index_set`` on a factor rebuilt from freshly formed blocks."""
+    bmat = vf.basis_matrix(basis, dataset.t)
+    blocks = [vf.DesignBlock(j, bmat * dataset.x[:, j : j + 1]) for j in index_set]
+    return vf.fit_full(vf.build_projection_cache(blocks, dataset.y), dataset.y)
+
+
+@pytest.mark.parametrize("example", ["ex1", "ex2"])
+def test_final_cache_is_the_factor_of_the_final_set(example):
+    # The pass's own factor refits the selected model bit for bit as a
+    # rebuild would: after a rollback, from an empty initial set, and on
+    # the exact-fit return.
+    sc = vf.SimScenario(example, n=200, p=40, t1=3.0, t2=1.0, seed=7, reps=3)
+    basis = vf.build_basis(5, 4)
+    config = vf.EbicConfig(eta=0.0, patience=3)
+    traces = []
+    for rep in range(sc.reps):
+        train, _, _ = vf.generate(sc, rep)
+        zero = vf.Dataset(
+            np.zeros(train.n), train.t, train.x, train.column_names,
+            constant_columns=train.constant_columns,
+        )
+        for ds, initial in ((train, (0,)), (train, ()), (zero, (0,))):
+            trace = vf.run_forward(ds, basis, config, initial_set=initial)
+            traces.append(trace)
+            assert trace.final_cache.index_set == trace.final_set
+            fit = vf.fit_full(trace.final_cache, ds.y)
+            assert np.array_equal(fit.gamma, _rebuilt_fit(ds, basis, trace.final_set).gamma)
+    rolled_back = [
+        t for t in traces if len(t.final_set) < len(t.initial_set) + len(t.steps)
+    ]
+    assert rolled_back
+    assert any(t.initial_set == () and t.final_set for t in rolled_back)
+    assert sum(t.stop_reason == "exact_fit" and not t.steps for t in traces) == sc.reps
 
 
 def test_febic_selects_smaller_model_than_fbic_under_correlation():

@@ -12,6 +12,13 @@ from vcforward.simulation import EXAMPLE_COEFFS
 from oracles import benchmark_draw
 
 
+def _refit(train, basis, sel):
+    """Least-squares fit of the covariates ``sel`` on a fresh factor."""
+    bmat = vf.basis_matrix(basis, train.t)
+    blocks = [vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in sel]
+    return vf.fit_full(vf.build_projection_cache(blocks, train.y), train.y)
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         vf.SimScenario("ex3")
@@ -93,9 +100,7 @@ def test_signal_variance_recovered_at_scale():
     sc = vf.SimScenario("ex1", n=4000, p=6, t1=0.0, t2=0.0, seed=19, reps=1)
     train, _, support = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
-    bmat = vf.basis_matrix(basis, train.t)
-    blocks = [vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in (0, *support)]
-    fit = vf.fit_full(blocks, train.y)
+    fit = _refit(train, basis, (0, *support))
     assert abs(fit.sigma_sq - 1.0) <= 0.1
 
 
@@ -122,17 +127,14 @@ def test_evaluate_rep_counts():
     sc = vf.SimScenario("ex1", n=200, p=10, seed=3, reps=1)
     train, test, support = vf.generate(sc, 0)
     basis = vf.build_basis(5, 4)
-    bmat = vf.basis_matrix(basis, train.t)
     sel = (0, *support)
-    fit = vf.fit_full([vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in sel], train.y)
+    fit = _refit(train, basis, sel)
     m = vf.evaluate_rep(sel, support, fit, basis, test)
     assert m.tp == len(support) and m.fp == 0
     assert m.model_size == len(sel)
     assert m.tp + m.fp == m.model_size - 1
     sel_bad = (0, *support, 7, 9)
-    fit_bad = vf.fit_full(
-        [vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in sel_bad], train.y
-    )
+    fit_bad = _refit(train, basis, sel_bad)
     m_bad = vf.evaluate_rep(sel_bad, support, fit_bad, basis, test)
     assert m_bad.fp == 2 and m_bad.tp == len(support)
 
@@ -141,8 +143,7 @@ def test_evaluate_rep_intercept_only_pe_near_response_variance():
     sc = vf.SimScenario("ex1", n=400, p=6, seed=9, reps=1)
     train, test, support = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
-    bmat = vf.basis_matrix(basis, train.t)
-    fit = vf.fit_full([vf.DesignBlock(0, bmat)], train.y)
+    fit = _refit(train, basis, (0,))
     m = vf.evaluate_rep((0,), support, fit, basis, test)
     assert m.tp == 0 and m.fp == 0
     assert m.pe == pytest.approx(np.var(test.y), rel=0.25)
@@ -154,11 +155,8 @@ def test_oracle_fit_prediction_error_near_noise_floor():
     for r in range(20):
         sc = vf.SimScenario("ex1", n=400, p=6, seed=55, reps=20)
         train, test, support = vf.generate(sc, r)
-        bmat = vf.basis_matrix(basis, train.t)
         sel = (0, *support)
-        fit = vf.fit_full(
-            [vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in sel], train.y
-        )
+        fit = _refit(train, basis, sel)
         pes.append(vf.evaluate_rep(sel, support, fit, basis, test).pe)
     assert np.mean(pes) == pytest.approx(1.0, abs=0.15)
 
@@ -167,9 +165,8 @@ def test_pe_invariant_to_test_ordering():
     sc = vf.SimScenario("ex1", n=200, p=6, seed=23, reps=1)
     train, test, support = vf.generate(sc, 0)
     basis = vf.build_basis(6, 4)
-    bmat = vf.basis_matrix(basis, train.t)
     sel = (0, 1, 2)
-    fit = vf.fit_full([vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in sel], train.y)
+    fit = _refit(train, basis, sel)
     perm = np.random.default_rng(1).permutation(test.n)
     shuffled = vf.Dataset(
         y=test.y[perm],

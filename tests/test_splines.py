@@ -119,7 +119,8 @@ def test_constants_reproduced_exactly():
     b = vf.build_basis(7, 4)
     t = rng.random(60)
     block = vf.design_block(b, t, np.ones(60), covariate_index=0)
-    fit = vf.fit_full([block], np.ones(60))
+    y = np.ones(60)
+    fit = vf.fit_full(vf.build_projection_cache([block], y), y)
     resid = 1.0 - vf.predict_response(fit, b, t, np.ones((60, 1)))
     assert np.abs(resid).max() <= 1e-10
 
