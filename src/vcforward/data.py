@@ -8,7 +8,8 @@ are min-max rescaled at load time and the affine map is recorded.
 from __future__ import annotations
 
 import csv
-import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +76,14 @@ def _check_column_names(names, covariate_names) -> None:
 
     Column names key the report's curves, next to the grid and the
     prepended intercept, so ``names`` must be unique and no covariate may be
-    named like those. Raises DataError naming the first clash.
+    named like those; a blank name could not be named at all. Raises
+    DataError naming the first clash, or the 1-based position of the first
+    blank name.
     """
     seen = set()
-    for name in names:
+    for pos, name in enumerate(names, start=1):
+        if not name or name.isspace():
+            raise DataError(f"column {pos} has a blank name")
         if name in seen:
             raise DataError(f"duplicate column name {name!r}")
         seen.add(name)
@@ -114,60 +119,107 @@ def from_arrays(y, t, x_covariates, names=None) -> Dataset:
     )
 
 
+# loadtxt's ValueError messages for a cell that is not a number (row counted
+# from 0, column from 1) and for a row whose width differs from the first
+# row's (row counted from 1). Both counts skip blank lines.
+_CONVERT_ERROR = re.compile(
+    r"could not convert string (.*) to \w+ at row (\d+), column (\d+)\.$", re.S
+)
+_WIDTH_ERROR = re.compile(r"the number of columns changed from (\d+) to (\d+) at row (\d+);")
+
+
+def _cell_error(message: str, header: list[str]) -> str:
+    """Restate a loadtxt ValueError message in data rows and header names.
+
+    Rows are numbered from 1 over the non-blank lines after the header. A
+    message of another shape is returned unchanged.
+    """
+    width = len(header)
+    match = _CONVERT_ERROR.match(message)
+    if match:
+        cell, row, col = match.group(1), int(match.group(2)) + 1, int(match.group(3))
+        if col > width:
+            return f"data row {row} has at least {col} fields, expected {width}"
+        return f"non-numeric value {cell} at data row {row}, column {header[col - 1]!r}"
+    match = _WIDTH_ERROR.match(message)
+    if match:
+        first, got, row = (int(g) for g in match.groups())
+        if first != width:
+            return f"data row 1 has {first} fields, expected {width}"
+        return f"data row {row} has {got} fields, expected {width}"
+    return message
+
+
+def _parse_cells(fh, path, header: list[str]) -> np.ndarray:
+    """Parse the data rows left in ``fh`` into an n x len(header) matrix.
+
+    Blank lines are skipped; every cell must be a finite number. Raises
+    DataError naming the data row and the header column of the first bad
+    cell, or the data row and the expected field count of a row of the
+    wrong width.
+    """
+    width = len(header)
+    with warnings.catch_warnings():
+        # A file with no data rows is reported by the caller, not warned of.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            cells = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: {_cell_error(str(exc), header)}") from None
+    if not cells.size:
+        return np.empty((0, width))
+    if cells.shape[1] != width:
+        raise DataError(f"{path}: data row 1 has {cells.shape[1]} fields, expected {width}")
+    finite = np.isfinite(cells)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-numeric value {str(float(cells[i, j]))!r} at data row {i + 1}, "
+            f"column {header[j]!r}"
+        )
+    return cells
+
+
 def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) -> Dataset:
     """Load a dataset from a headered CSV file.
 
-    All columns other than ``y_column`` and ``t_column`` become covariates
-    in file order; an intercept column is prepended. The index variable is
-    min-max rescaled to [0, 1] when it falls outside that range, and the
-    affine map is recorded on the dataset.
+    The file is UTF-8, optionally with a byte order mark, comma-delimited,
+    with ``"`` quoting; blank lines are skipped and every data cell must be
+    a finite number. All columns other than ``y_column`` and ``t_column``
+    become covariates in file order; an intercept column is prepended. The
+    index variable is min-max rescaled to [0, 1] when it falls outside that
+    range, and the affine map is recorded on the dataset.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             try:
-                header = [h.strip() for h in next(reader)]
+                header = [h.strip() for h in next(csv.reader(fh))]
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
-            rows = [row for row in reader if row]
+            for needed, role in ((y_column, "response"), (t_column, "index")):
+                if needed not in header:
+                    raise DataError(
+                        f"{path}: {role} column {needed!r} not found; "
+                        f"available columns: {', '.join(header)}"
+                    )
+            if y_column == t_column:
+                raise DataError(f"{path}: response and index columns must differ")
+            y_pos = header.index(y_column)
+            t_pos = header.index(t_column)
+            cov_pos = [i for i in range(len(header)) if i not in (y_pos, t_pos)]
+            if not cov_pos:
+                raise DataError(
+                    f"{path}: no covariate columns besides {y_column!r} and {t_column!r}"
+                )
+            try:
+                _check_column_names(header, [header[i] for i in cov_pos])
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+            parsed = _parse_cells(fh, path, header)
     except OSError as exc:
         raise DataError(f"{path}: {exc.strerror or exc}") from exc
-
-    for needed, role in ((y_column, "response"), (t_column, "index")):
-        if needed not in header:
-            raise DataError(
-                f"{path}: {role} column {needed!r} not found; "
-                f"available columns: {', '.join(header)}"
-            )
-    if y_column == t_column:
-        raise DataError(f"{path}: response and index columns must differ")
-    y_pos = header.index(y_column)
-    t_pos = header.index(t_column)
-    cov_pos = [i for i in range(len(header)) if i not in (y_pos, t_pos)]
-    if not cov_pos:
-        raise DataError(f"{path}: no covariate columns besides {y_column!r} and {t_column!r}")
-    try:
-        _check_column_names(header, [header[i] for i in cov_pos])
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-    parsed = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: data row {i + 1} has {len(row)} fields, expected {len(header)}"
-            )
-        for pos, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}: non-numeric value {cell.strip()!r} at data row {i + 1}, "
-                    f"column {header[pos]!r}"
-                )
-            parsed[i, pos] = value
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
     n = parsed.shape[0]
     if min_rows is not None and n < min_rows:

@@ -22,7 +22,15 @@ class OverparameterizedError(NumericalError):
 
 
 class SingularDesignError(NumericalError):
-    """Design matrix is numerically rank deficient under the rank rule."""
+    """Design matrix is numerically rank deficient under the rank rule.
+
+    ``covariate_index`` is the covariate whose block failed the rule, when
+    the raiser knows it.
+    """
+
+    def __init__(self, message: str, covariate_index: int | None = None) -> None:
+        super().__init__(message)
+        self.covariate_index = covariate_index
 
 
 class DegenerateCandidateError(Exception):

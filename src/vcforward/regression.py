@@ -128,7 +128,8 @@ def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> Projecti
     """Factor the span of the given blocks and residualize y against it.
 
     Raises OverparameterizedError when the stacked design has more columns
-    than rows and SingularDesignError when it is rank deficient.
+    than rows and SingularDesignError, naming the covariate index of the
+    first block collinear with those before it, when it is rank deficient.
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -138,7 +139,12 @@ def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> Projecti
         raise OverparameterizedError(f"{m_total} coefficients for {n} observations")
     q, r = np.zeros((n, 0)), np.zeros((0, 0))
     for b in blocks:
-        q, r = _append_orthonormal(q, r, b.matrix)
+        try:
+            q, r = _append_orthonormal(q, r, b.matrix)
+        except SingularDesignError as exc:
+            raise SingularDesignError(
+                f"covariate index {b.covariate_index}: {exc}", b.covariate_index
+            ) from None
     resid = y - q @ (q.T @ y)
     resid -= q @ (q.T @ resid)
     return ProjectionCache(

@@ -287,9 +287,17 @@ def run_forward(
         pool.sort()
 
     bmat = basis_matrix(basis, dataset.t)
-    cache = build_projection_cache(
-        [_covariate_block(dataset, bmat, j) for j in initial], dataset.y
-    )
+    try:
+        cache = build_projection_cache(
+            [_covariate_block(dataset, bmat, j) for j in initial], dataset.y
+        )
+    except SingularDesignError as exc:
+        name = dataset.column_names[exc.covariate_index]
+        raise SingularDesignError(
+            f"initial covariate {name!r} is numerically collinear with the initial covariates "
+            "before it",
+            exc.covariate_index,
+        ) from exc
 
     cap = n // dim - len(initial)
     max_steps = config.max_steps

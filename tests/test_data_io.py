@@ -1,6 +1,8 @@
 """CSV ingestion, dataset invariants, and report/curve writers."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +142,160 @@ def test_from_arrays_rejects_clashing_column_names(names, bad):
     with pytest.raises(DataError, match=bad):
         vf.from_arrays(rng.standard_normal(10), rng.random(10), rng.standard_normal((10, 2)), names)
 
+
+@pytest.mark.parametrize(
+    "header,pos",
+    [("y,t,,b", 3), ("y,t, ,b", 3), ("y,t,a,", 4)],
+    ids=["empty", "whitespace", "trailing-comma"],
+)
+def test_load_rejects_blank_header_names(tmp_path, header, pos):
+    path = tmp_path / "blank.csv"
+    width = header.count(",") + 1
+    path.write_text(header + "\n" + ",".join(["0.5"] * width) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"blank\.csv: column {pos} has a blank name"):
+        vf.load_csv(path, "y", "t")
+
+
+@pytest.mark.parametrize("names", [["a", ""], ["a", "  "]], ids=["empty", "whitespace"])
+def test_from_arrays_rejects_blank_column_names(names):
+    rng = np.random.default_rng(4)
+    with pytest.raises(DataError, match="column 2 has a blank name"):
+        vf.from_arrays(rng.standard_normal(10), rng.random(10), rng.standard_normal((10, 2)), names)
+
+
+_LOADED = [[1.0, 0.5, 2.0], [3.0, 0.25, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "text,outcome",
+    [
+        # These load, with the same values.
+        pytest.param("\ufeffy,t,a\n1,0.5,2\n3,0.25,4\n", _LOADED, id="bom"),
+        pytest.param('"y","t","a"\n"1","0.5",2\n3,0.25,"4"\n', _LOADED, id="quoted"),
+        pytest.param("y,t,a\r\n1,0.5,2\r\n3,0.25,4\r\n", _LOADED, id="crlf"),
+        pytest.param("y,t,a\n\n1,0.5,2\n\n\n3,0.25,4\n\n", _LOADED, id="blank-lines"),
+        # A row of the wrong width names the row and the expected field count.
+        pytest.param(
+            "y,t,a\n1,0.5,2,\n3,0.25,4,\n",
+            "data row 1 has at least 4 fields, expected 3",
+            id="trailing-delimiter",
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2\n3,0.25,4,\n", "data row 2 has 4 fields, expected 3",
+            id="trailing-delimiter-later",
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2\n\n3,0.25\n", "data row 2 has 2 fields, expected 3",
+            id="ragged-later",
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5\n3,0.25\n", "data row 1 has 2 fields, expected 3", id="short-first"
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2,7\n3,0.25,4\n", "data row 1 has 4 fields, expected 3",
+            id="long-first",
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2,7\n", "data row 1 has 4 fields, expected 3", id="long-only-row"
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2\n   \n3,0.25,4\n", "data row 2 has 1 fields, expected 3",
+            id="whitespace-line",
+        ),
+        # A cell that is not a finite number names the row and the column.
+        pytest.param(
+            "y,t,a\n1,0.5,2\n3,0.25,nan\n", "non-numeric value 'nan' at data row 2, column 'a'",
+            id="nan",
+        ),
+        pytest.param(
+            "y,t,a\n1,inf,2\n", "non-numeric value 'inf' at data row 1, column 't'", id="inf"
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2\n\n-inf,0.25,4\n",
+            "non-numeric value '-inf' at data row 2, column 'y'",
+            id="minus-inf",
+        ),
+        pytest.param(
+            "y,t,a\n1,,2\n", "non-numeric value '' at data row 1, column 't'", id="empty-cell"
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,2\n#2,0.25,4\n", "non-numeric value '#2' at data row 2, column 'y'",
+            id="hash",
+        ),
+        pytest.param(
+            "y,t,a\n1,0.5,1_0\n", "non-numeric value '1_0' at data row 1, column 'a'",
+            id="underscore",
+        ),
+        # A non-numeric cell is reported before a NaN cell, even a later one.
+        pytest.param(
+            "y,t,a\nnan,0.5,2\n3,0.25,oops\n",
+            "non-numeric value 'oops' at data row 2, column 'a'",
+            id="non-numeric-before-nan",
+        ),
+        # Files without data rows keep their messages.
+        pytest.param("y,t,a\n", "no data rows", id="header-only"),
+        pytest.param("y,t,a\n\n\n", "no data rows", id="header-and-blank-lines"),
+        pytest.param("", "file is empty", id="empty-file"),
+    ],
+)
+def test_load_csv_edge_cases(tmp_path, text, outcome):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(outcome, str):
+        with pytest.raises(DataError, match=re.escape(f"edge.csv: {outcome}")):
+            vf.load_csv(path, "y", "t")
+        return
+    ds = vf.load_csv(path, "y", "t")
+    assert ds.column_names == ("intercept", "a")
+    want = np.array(outcome)
+    np.testing.assert_array_equal(ds.y, want[:, 0])
+    np.testing.assert_array_equal(ds.t, want[:, 1])
+    np.testing.assert_array_equal(ds.x[:, 1], want[:, 2])
+
+
+
+@pytest.mark.parametrize(
+    "raw", [b"y,t,\xffa\n1,0.5,2\n", b"y,t,a\n" + b"1,0.5,2\n" * 2000 + b"1,0.5,\xff2\n"],
+    ids=["header", "late-row"],
+)
+def test_load_non_utf8_file_is_data_error(tmp_path, raw):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=r"latin\.csv: 'utf-8' codec can't decode byte 0xff"):
+        vf.load_csv(path, "y", "t")
+
+def test_load_parses_bit_identical_to_python_float(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 40
+    values = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, size=(n, 4))
+    values[:, 1] = rng.random(n)  # t already on [0, 1], so it is not rescaled
+    values[0, 0], values[1, 2], values[2, 3] = -0.0, 5e-324, 1.7976931348623157e308
+    values[3, 2], values[4, 3] = -5e-324, -1.7976931348623157e308
+    cells = [["%.17g" % v for v in row] for row in values]
+    path = tmp_path / "precise.csv"
+    _write_csv(path, ["y", "t", "a", "b"], cells)
+    want = np.array([[float(c) for c in row] for row in cells])
+    ds = vf.load_csv(path, "y", "t")
+    got = np.column_stack([ds.y, ds.t, ds.x[:, 1:]])
+    assert np.array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(ds.y[0])
+
+
+def test_load_peak_memory_is_a_few_matrices(tmp_path):
+    rng = np.random.default_rng(12)
+    n, p = 400, 500
+    values = rng.standard_normal((n, p + 2))
+    values[:, 1] = rng.random(n)
+    path = tmp_path / "wide.csv"
+    _write_csv(path, ["y", "t", *(f"x{j}" for j in range(1, p + 1))], values.tolist())
+    tracemalloc.start()
+    try:
+        ds = vf.load_csv(path, "y", "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * ds.x.nbytes, (peak, ds.x.nbytes)
 
 def _small_fit():
     rng = np.random.default_rng(3)

@@ -68,6 +68,14 @@ def test_fit_full_rank_deficient_raises():
         vf.build_projection_cache(dup, y)
 
 
+
+def test_build_projection_cache_names_the_collinear_block():
+    basis, t, x, y = _instance(4)
+    x[:, 2] = x[:, 1]
+    with pytest.raises(SingularDesignError, match="covariate index 2: ") as info:
+        vf.build_projection_cache(_blocks(basis, t, x, [0, 1, 2, 3]), y)
+    assert info.value.covariate_index == 2
+
 def test_sigma_never_exceeds_raw_second_moment():
     for seed in range(5):
         basis, t, x, y = _instance(10 + seed)
