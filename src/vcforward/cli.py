@@ -14,10 +14,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .data import load_csv
+from .data import load_csv, open_file
 from .errors import ConfigError, DataError, NumericalError
 from .regression import fit_full
 from .report import (
+    SCHEMA_VERSION,
     build_selection_report,
     curve_grid,
     selection_curves,
@@ -224,24 +225,20 @@ def cmd_select(args) -> int:
 
 def _read_scenario_file(path) -> dict:
     values: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in SETTINGS:
-                    raise ConfigError(
-                        f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                        + ", ".join(SETTINGS)
-                    )
-                values[key] = value.strip()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    with open_file(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            if key not in SETTINGS:
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown key {key!r}; valid keys: " + ", ".join(SETTINGS)
+                )
+            values[key] = value.strip()
     return values
 
 
@@ -292,7 +289,7 @@ def cmd_simulate(args) -> int:
     snr_estimate = snr(scenario, args.snr_samples)
     agg = aggregate(metrics, snr_estimate=snr_estimate)
 
-    out = {"schema": 1}
+    out = {"schema": SCHEMA_VERSION}
     if not args.no_timestamp:
         out["generated_at"] = _timestamp()
     out["scenario"] = asdict(scenario)
@@ -310,16 +307,11 @@ def cmd_simulate(args) -> int:
     write_report(out, args.out)
 
     if args.per_rep_out:
-        try:
-            with open(args.per_rep_out, "w", encoding="utf-8", newline="") as fh:
-                fh.write("rep,tp,fp,pe,model_size,selected,stop_reason\n")
-                for rep, m, final_set, stop in results:
-                    sel = ";".join(str(j) for j in final_set)
-                    fh.write(
-                        f"{rep},{m.tp},{m.fp},{m.pe!r},{m.model_size},{sel},{stop}\n"
-                    )
-        except OSError as exc:
-            raise DataError(f"{args.per_rep_out}: {exc.strerror or exc}") from exc
+        with open_file(args.per_rep_out, "w", encoding="utf-8", newline="") as fh:
+            fh.write("rep,tp,fp,pe,model_size,selected,stop_reason\n")
+            for rep, m, final_set, stop in results:
+                sel = ";".join(str(j) for j in final_set)
+                fh.write(f"{rep},{m.tp},{m.fp},{m.pe!r},{m.model_size},{sel},{stop}\n")
 
     print(
         f"{scenario.example_id} [{scenario.t1:g},{scenario.t2:g}] reps={scenario.reps}: "

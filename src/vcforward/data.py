@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,8 +29,11 @@ class Dataset:
     ``x`` is n x (p+1) with column 0 all ones; ``column_names`` has one
     entry per column of ``x``. ``rescale_map`` is the (a, b) pair such that
     t = (raw - a) / (b - a); the identity map is (0, 1).
-    ``constant_columns`` lists covariate columns (j >= 1) with zero
-    variance; they are kept in ``x`` but excluded from candidate pools.
+    Column 0 is named ``intercept`` and the covariate names must pass
+    ``_check_column_names``, so that they key a report unambiguously.
+    ``constant_columns``, set from ``x``, lists covariate columns (j >= 1)
+    with zero variance as Python ints; they are kept in ``x`` but excluded
+    from candidate pools.
     """
 
     y: np.ndarray
@@ -37,7 +41,7 @@ class Dataset:
     x: np.ndarray
     column_names: tuple[str, ...]
     rescale_map: tuple[float, float] = (0.0, 1.0)
-    constant_columns: tuple[int, ...] = ()
+    constant_columns: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
@@ -55,12 +59,18 @@ class Dataset:
             raise DataError("y, t and x must have matching row counts")
         if len(self.column_names) != self.x.shape[1]:
             raise DataError("one column name per covariate column is required")
+        if self.column_names[0] != INTERCEPT_NAME:
+            raise DataError(f"column 0 must be named {INTERCEPT_NAME!r}")
+        _check_column_names(self.column_names[1:], self.column_names[1:])
         if not (np.isfinite(self.y).all() and np.isfinite(self.t).all() and np.isfinite(self.x).all()):
             raise DataError("dataset contains NaN or infinite values")
         if not np.array_equal(self.x[:, 0], np.ones(n)):
             raise DataError("column 0 must be the all-ones intercept")
         if self.t.min() < 0.0 or self.t.max() > 1.0:
             raise DataError("index variable must lie in [0, 1] after rescaling")
+        cov = self.x[:, 1:]
+        constant = np.flatnonzero(cov.max(axis=0) == cov.min(axis=0)) + 1
+        object.__setattr__(self, "constant_columns", tuple(constant.tolist()))
 
     @property
     def n(self) -> int:
@@ -92,13 +102,20 @@ def _check_column_names(names, covariate_names) -> None:
             raise DataError(f"covariate column name {name!r} is reserved")
 
 
-def _constant_columns(x: np.ndarray) -> tuple[int, ...]:
-    """Covariate columns of ``x`` (j >= 1; column 0 is the intercept) whose
-    values are all equal, as Python ints, from one scan over x."""
-    cov = x[:, 1:]
-    if not cov.size:
-        return ()
-    return tuple(int(j) + 1 for j in np.flatnonzero(cov.max(axis=0) == cov.min(axis=0)))
+@contextmanager
+def open_file(path, mode="r", **kw):
+    """``open(path, mode, **kw)`` whose failures are DataErrors naming ``path``.
+
+    An OSError, on opening or inside the ``with`` body, is reported by its
+    strerror; a UnicodeDecodeError is reported in full.
+    """
+    try:
+        with open(path, mode, **kw) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def from_arrays(y, t, x_covariates, names=None) -> Dataset:
@@ -108,15 +125,8 @@ def from_arrays(y, t, x_covariates, names=None) -> Dataset:
         raise DataError("covariates must form a two-dimensional array")
     n, p = x_cov.shape
     names = tuple(names) if names is not None else tuple(f"x{j}" for j in range(1, p + 1))
-    _check_column_names(names, names)
     x = np.column_stack([np.ones(n), x_cov])
-    return Dataset(
-        y=y,
-        t=t,
-        x=x,
-        column_names=(INTERCEPT_NAME, *names),
-        constant_columns=_constant_columns(x),
-    )
+    return Dataset(y=y, t=t, x=x, column_names=(INTERCEPT_NAME, *names))
 
 
 # loadtxt's ValueError messages for a cell that is not a number (row counted
@@ -190,36 +200,31 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
     index variable is min-max rescaled to [0, 1] when it falls outside that
     range, and the affine map is recorded on the dataset.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            try:
-                header = [h.strip() for h in next(csv.reader(fh))]
-            except StopIteration:
-                raise DataError(f"{path}: file is empty") from None
-            for needed, role in ((y_column, "response"), (t_column, "index")):
-                if needed not in header:
-                    raise DataError(
-                        f"{path}: {role} column {needed!r} not found; "
-                        f"available columns: {', '.join(header)}"
-                    )
-            if y_column == t_column:
-                raise DataError(f"{path}: response and index columns must differ")
-            y_pos = header.index(y_column)
-            t_pos = header.index(t_column)
-            cov_pos = [i for i in range(len(header)) if i not in (y_pos, t_pos)]
-            if not cov_pos:
+    with open_file(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        for needed, role in ((y_column, "response"), (t_column, "index")):
+            if needed not in header:
                 raise DataError(
-                    f"{path}: no covariate columns besides {y_column!r} and {t_column!r}"
+                    f"{path}: {role} column {needed!r} not found; "
+                    f"available columns: {', '.join(header)}"
                 )
-            try:
-                _check_column_names(header, [header[i] for i in cov_pos])
-            except DataError as exc:
-                raise DataError(f"{path}: {exc}") from None
-            parsed = _parse_cells(fh, path, header)
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        if y_column == t_column:
+            raise DataError(f"{path}: response and index columns must differ")
+        y_pos = header.index(y_column)
+        t_pos = header.index(t_column)
+        cov_pos = [i for i in range(len(header)) if i not in (y_pos, t_pos)]
+        if not cov_pos:
+            raise DataError(
+                f"{path}: no covariate columns besides {y_column!r} and {t_column!r}"
+            )
+        try:
+            _check_column_names(header, [header[i] for i in cov_pos])
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        parsed = _parse_cells(fh, path, header)
 
     n = parsed.shape[0]
     if min_rows is not None and n < min_rows:
@@ -240,11 +245,4 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
 
     x = np.column_stack([np.ones(n), parsed[:, cov_pos]])
     names = (INTERCEPT_NAME, *(header[i] for i in cov_pos))
-    return Dataset(
-        y=parsed[:, y_pos],
-        t=t,
-        x=x,
-        column_names=names,
-        rescale_map=rescale,
-        constant_columns=_constant_columns(x),
-    )
+    return Dataset(y=parsed[:, y_pos], t=t, x=x, column_names=names, rescale_map=rescale)

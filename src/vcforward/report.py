@@ -9,8 +9,7 @@ import sys
 import numpy as np
 import scipy
 
-from .data import GRID_NAME
-from .errors import DataError
+from .data import GRID_NAME, open_file
 from .regression import FitResult, coefficient_curve
 from .splines import SplineBasis
 
@@ -91,12 +90,9 @@ def build_selection_report(
 
 def write_report(report: dict, path) -> None:
     """Write a report as UTF-8 JSON with a trailing newline."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    with open_file(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def write_curves(curves: dict[str, list[float]], grid: np.ndarray, path) -> None:
@@ -109,11 +105,8 @@ def write_curves(curves: dict[str, list[float]], grid: np.ndarray, path) -> None
     for name in names:
         if len(curves[name]) != len(grid):
             raise ValueError(f"curve {name!r} length does not match the grid")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join([GRID_NAME] + names) + "\n")
-            for i, t in enumerate(grid):
-                row = [f"{float(t):.2f}"] + [repr(float(curves[nm][i])) for nm in names]
-                fh.write(",".join(row) + "\n")
-    except OSError as exc:
-        raise DataError(f"{path}: {exc.strerror or exc}") from exc
+    with open_file(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join([GRID_NAME] + names) + "\n")
+        for i, t in enumerate(grid):
+            row = [f"{float(t):.2f}"] + [repr(float(curves[nm][i])) for nm in names]
+            fh.write(",".join(row) + "\n")

@@ -218,10 +218,6 @@ def select_candidate(
     return int(blocks[pos].covariate_index), float(deltas[pos]), gammas[:, pos]
 
 
-def _covariate_block(dataset: Dataset, bmat: np.ndarray, j: int) -> DesignBlock:
-    return DesignBlock(j, bmat * dataset.x[:, j : j + 1])
-
-
 def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
     """The columns of x at the sorted, distinct ``pool_idx``: a view when
     they form one contiguous range (the default pool without constant
@@ -229,6 +225,49 @@ def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
     if pool_idx.size and pool_idx[-1] - pool_idx[0] + 1 == pool_idx.size:
         return x[:, pool_idx[0] : pool_idx[-1] + 1]
     return x[:, pool_idx]
+
+
+def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
+    """The start of a forward pass: (initial, pool_idx, cache, grams).
+
+    ``initial`` is ``initial_set`` deduplicated in order and ``pool_idx`` the
+    sorted candidate indices: ``candidate_pool`` deduplicated, or by default
+    every covariate that is not constant, both without the initial set.
+    ``cache`` factors the initial set's blocks and ``grams`` holds the pool's
+    Grams against it. Raises DataError naming the first out-of-range index
+    in the order given, and SingularDesignError naming the initial
+    covariate whose block fails the rank rule.
+    """
+    initial = tuple(dict.fromkeys(int(j) for j in initial_set))
+    for j in initial:
+        if not 0 <= j <= dataset.p:
+            raise DataError(f"initial covariate index {j} is out of range")
+    if candidate_pool is None:
+        pool_idx = np.setdiff1d(np.arange(dataset.p + 1), initial + dataset.constant_columns)
+    else:
+        given = np.fromiter(candidate_pool, dtype=int)
+        bad = given[(given < 0) | (given > dataset.p)]
+        if bad.size:
+            raise DataError(f"candidate index {bad[0]} is out of range")
+        pool_idx = np.setdiff1d(given, initial)
+
+    bmat = basis_matrix(basis, dataset.t)
+    blocks = [DesignBlock(j, bmat * dataset.x[:, j : j + 1]) for j in initial]
+    try:
+        cache = build_projection_cache(blocks, dataset.y)
+    except SingularDesignError as exc:
+        j = exc.covariate_index
+        name = dataset.column_names[j]
+        if j == initial[0]:
+            message = f"initial covariate {name!r}: its spline block is rank deficient on its own"
+        else:
+            message = (
+                f"initial covariate {name!r} is numerically collinear with the initial "
+                "covariates before it"
+            )
+        raise SingularDesignError(message, j) from exc
+    grams = CandidateGrams(bmat, _pool_columns(dataset.x, pool_idx), cache.q, cache.residual_y)
+    return initial, pool_idx, cache, grams
 
 
 def run_forward(
@@ -263,41 +302,7 @@ def run_forward(
         raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     n, dim = dataset.n, basis.dim
     eta = config.resolve_eta(n, dataset.p)
-
-    initial = tuple(dict.fromkeys(int(j) for j in initial_set))
-    for j in initial:
-        if not 0 <= j <= dataset.p:
-            raise DataError(f"initial covariate index {j} is out of range")
-    if candidate_pool is None:
-        pool = [
-            j
-            for j in range(dataset.p + 1)
-            if j not in initial and j not in dataset.constant_columns
-        ]
-    else:
-        seen = set(initial)
-        pool = []
-        for j in candidate_pool:
-            j = int(j)
-            if not 0 <= j <= dataset.p:
-                raise DataError(f"candidate index {j} is out of range")
-            if j not in seen:
-                pool.append(j)
-                seen.add(j)
-        pool.sort()
-
-    bmat = basis_matrix(basis, dataset.t)
-    try:
-        cache = build_projection_cache(
-            [_covariate_block(dataset, bmat, j) for j in initial], dataset.y
-        )
-    except SingularDesignError as exc:
-        name = dataset.column_names[exc.covariate_index]
-        raise SingularDesignError(
-            f"initial covariate {name!r} is numerically collinear with the initial covariates "
-            "before it",
-            exc.covariate_index,
-        ) from exc
+    initial, pool_idx, cache, grams = _start(dataset, basis, initial_set, candidate_pool)
 
     cap = n // dim - len(initial)
     max_steps = config.max_steps
@@ -309,12 +314,7 @@ def run_forward(
     if sigma0 <= 0.0:
         return SelectionTrace(initial, (), initial, "exact_fit", sigma0, -math.inf, eta, cache)
     ebic0 = ebic(sigma0, len(initial), n, dataset.p, dim, eta)
-
-    pool_idx = np.array(sorted(pool), dtype=int)
     alive = np.ones(pool_idx.size, dtype=bool)
-    # The candidates' Grams are kept current: after each acceptance only the
-    # newly added orthonormal directions are projected out.
-    grams = CandidateGrams(bmat, _pool_columns(dataset.x, pool_idx), cache.q, cache.residual_y)
 
     steps: list[SelectionStep] = []
     sigma_prev, ebic_prev = sigma0, ebic0
@@ -345,6 +345,8 @@ def run_forward(
             # candidate and keep going.
             alive[pos] = False
             continue
+        # The candidates' Grams are kept current: after each acceptance only the
+        # newly added orthonormal directions are projected out.
         grams.update(new_cache.q[:, cache.q.shape[1] :], new_cache.residual_y)
         cache = new_cache
         alive[pos] = False
@@ -381,10 +383,7 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     if not 1 <= keep_k <= dataset.p:
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
     n, dim = dataset.n, basis.dim
-    bmat = basis_matrix(basis, dataset.t)
-    cache = build_projection_cache([_covariate_block(dataset, bmat, 0)], dataset.y)
-    candidates = np.arange(1, dataset.p + 1)
-    grams = CandidateGrams(bmat, dataset.x[:, 1:], cache.q, cache.residual_y)
+    _, candidates, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
     deltas, _ = sweep(grams.gram, grams.u, grams.col_sq_max, n)
 
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
@@ -394,4 +393,4 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     fits = sigma_j > 0.0
     bic[fits] = n * np.log(sigma_j[fits]) + ebic(1.0, 2, n, dataset.p, dim, 0.0)
     order = np.argsort(bic, kind="stable")
-    return [int(candidates[i]) for i in order[:keep_k]]
+    return candidates[order[:keep_k]].tolist()

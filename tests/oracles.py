@@ -88,27 +88,6 @@ def lstsq_sigma_sq(blocks, y):
     return float(resid @ resid) / n
 
 
-def random_instance(rng, n=None, p=None, dim=None, order=None, n_initial=0):
-    """One random small regression instance for oracle comparisons.
-
-    Returns (dataset-like tuple (t, x, y), basis parameters, initial set).
-    """
-    n = n if n is not None else int(rng.integers(40, 101))
-    p = p if p is not None else int(rng.integers(3, 16))
-    order = order if order is not None else int(rng.integers(2, 5))
-    dim = dim if dim is not None else int(rng.integers(order, 7))
-    t = rng.random(n)
-    x = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
-    support = rng.choice(np.arange(1, p + 1), size=min(2, p), replace=False)
-    y = rng.standard_normal(n)
-    for j in support:
-        y = y + rng.normal(0.0, 2.0) * x[:, j] * (1.0 + t)
-    initial = (0,) + tuple(
-        int(v) for v in rng.choice(np.arange(1, p + 1), size=n_initial, replace=False)
-    )
-    return t, x, y, dim, order, initial
-
-
 def benchmark_draw(coeffs, seed, rep_index, purpose, size, p, t1, t2):
     """One benchmark draw, written out from the generators' stated law.
 

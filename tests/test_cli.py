@@ -152,6 +152,39 @@ def test_select_collinear_initial_covariate_is_named(tmp_path, capsys):
     assert "numerical error: initial covariate 'b' " in err
 
 
+def test_select_index_in_one_knot_span_gives_one_message_with_and_without_screen(
+    tmp_path, capsys
+):
+    # Every t lies in the first of the L=7 basis's knot spans, so the
+    # intercept's block spans only the few basis functions alive there.
+    rng = np.random.default_rng(6)
+    n = 40
+    cols = np.column_stack(
+        [rng.standard_normal(n), 0.10 + 0.02 * rng.random(n), rng.standard_normal((n, 3))]
+    )
+    data = tmp_path / "span.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        fh.write("y,t,a,b,c\n")
+        np.savetxt(fh, cols, fmt="%.17g", delimiter=",")
+    errs = []
+    for screen in ([], ["--screen-k", "1"]):
+        code = main(
+            [
+                "select",
+                "--data", str(data),
+                "--y-column", "y",
+                "--t-column", "t",
+                "--L", "7",
+                "--out", str(tmp_path / "report.json"),
+                *screen,
+            ]
+        )
+        assert code == 3
+        errs.append(capsys.readouterr().err)
+    assert "'intercept'" in errs[0] and "rank deficient on its own" in errs[0]
+    assert errs[0] == errs[1]
+
+
 def test_select_report_bytes_deterministic(tmp_path):
     data = _noise_csv(tmp_path / "d.csv", seed=9)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

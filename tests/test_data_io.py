@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vcforward as vf
+from vcforward.cli import main
 from vcforward.errors import DataError
 from vcforward.report import (
     build_selection_report,
@@ -130,6 +131,32 @@ def test_dataset_invariants_enforced():
         vf.Dataset(**bad_nan)
     with pytest.raises(DataError, match="no rows"):
         vf.from_arrays(np.zeros(0), np.zeros(0), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "names,bad",
+    [
+        (("intercept", "a", "a", "b"), "duplicate column name 'a'"),
+        (("intercept", "t", "b"), "covariate column name 't' is reserved"),
+        (("intercept", ""), "column 1 has a blank name"),
+        (("t", "a"), "column 0 must be named 'intercept'"),
+    ],
+    ids=["duplicate", "grid-name", "blank", "intercept-misnamed"],
+)
+def test_dataset_rejects_clashing_column_names(names, bad):
+    # Built directly, not through from_arrays or load_csv.
+    n = 6
+    x = np.column_stack([np.ones(n), np.arange(n * (len(names) - 1.0)).reshape(n, -1)])
+    with pytest.raises(DataError, match=re.escape(bad)):
+        vf.Dataset(np.zeros(n), np.linspace(0.0, 1.0, n), x, names)
+
+
+def test_dataset_sets_constant_columns_from_x():
+    n = 5
+    x = np.column_stack([np.ones(n), np.arange(n, dtype=float), np.full(n, 2.5), -np.ones(n)])
+    ds = vf.Dataset(np.zeros(n), np.linspace(0.0, 1.0, n), x, ("intercept", "a", "b", "c"))
+    assert ds.constant_columns == (2, 3)
+    assert all(type(j) is int for j in ds.constant_columns)
 
 
 @pytest.mark.parametrize(
@@ -263,6 +290,15 @@ def test_load_non_utf8_file_is_data_error(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(DataError, match=r"latin\.csv: 'utf-8' codec can't decode byte 0xff"):
         vf.load_csv(path, "y", "t")
+
+
+def test_simulate_non_utf8_scenario_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"example=ex1\n# caf\xe9\n")
+    assert main(["simulate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: 'utf-8' codec can't decode byte 0xe9")
+
 
 def test_load_parses_bit_identical_to_python_float(tmp_path):
     rng = np.random.default_rng(11)

@@ -397,6 +397,28 @@ def test_run_forward_candidate_pool_restriction():
     assert all(s.index in pool for s in trace.steps)
 
 
+def test_pass_start_pools_and_out_of_range_indices():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((60, 6))
+    x[:, 2] = 1.5  # covariate 3 is constant
+    ds = vf.from_arrays(rng.standard_normal(60), rng.random(60), x)
+    basis = vf.build_basis(5, 4)
+
+    def pool(initial, candidate_pool):
+        return selection._start(ds, basis, initial, candidate_pool)[1].tolist()
+
+    assert pool((0,), None) == [1, 2, 4, 5, 6]
+    assert pool((2, 0, 2), None) == [1, 4, 5, 6]
+    assert pool((), None) == [0, 1, 2, 4, 5, 6]
+    assert pool((0, 5), [6, 3, 0, 6, 5, 1]) == [1, 3, 6]
+    # The screen's pool: every covariate, constant ones included.
+    assert pool((0,), range(1, 7)) == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(vf.DataError, match="candidate index 9 is out of range"):
+        pool((0,), [1, 9, -1])
+    with pytest.raises(vf.DataError, match="initial covariate index 7 is out of range"):
+        pool((0, 7), None)
+
+
 def test_run_forward_exact_fit_on_zero_response():
     ds = vf.from_arrays(np.zeros(100), np.linspace(0, 1, 100), np.random.default_rng(0).standard_normal((100, 4)))
     basis = vf.build_basis(5, 4)
@@ -433,10 +455,7 @@ def test_final_cache_is_the_factor_of_the_final_set(example):
     traces = []
     for rep in range(sc.reps):
         train, _, _ = vf.generate(sc, rep)
-        zero = vf.Dataset(
-            np.zeros(train.n), train.t, train.x, train.column_names,
-            constant_columns=train.constant_columns,
-        )
+        zero = vf.Dataset(np.zeros(train.n), train.t, train.x, train.column_names)
         for ds, initial in ((train, (0,)), (train, ()), (zero, (0,))):
             trace = vf.run_forward(ds, basis, config, initial_set=initial)
             traces.append(trace)
