@@ -20,6 +20,7 @@ from .errors import DataError
 INTERCEPT_NAME = "intercept"
 # Key of the evaluation grid next to the coefficient curves in reports.
 GRID_NAME = "t"
+_RESERVED_NAMES = frozenset((INTERCEPT_NAME, GRID_NAME))
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,13 @@ def _check_column_names(names, covariate_names) -> None:
     DataError naming the first clash, or the 1-based position of the first
     blank name.
     """
+    # One pass over valid names; the loops below only locate a failure.
+    if (
+        all(map(str.strip, names))
+        and len(set(names)) == len(names)
+        and _RESERVED_NAMES.isdisjoint(covariate_names)
+    ):
+        return
     seen = set()
     for pos, name in enumerate(names, start=1):
         if not name or name.isspace():
@@ -98,7 +106,7 @@ def _check_column_names(names, covariate_names) -> None:
             raise DataError(f"duplicate column name {name!r}")
         seen.add(name)
     for name in covariate_names:
-        if name in (INTERCEPT_NAME, GRID_NAME):
+        if name in _RESERVED_NAMES:
             raise DataError(f"covariate column name {name!r} is reserved")
 
 

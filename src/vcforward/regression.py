@@ -235,7 +235,8 @@ class CandidateGrams:
         c = prod[: m * dim].reshape(m, dim, k)
         for l in range(dim):
             self.gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
-        self.u = prod[m * dim :]
+        # A copy, so that the whole product is freed on return.
+        self.u = prod[m * dim :].copy()
 
     def blocks(self, positions) -> np.ndarray:
         """The (n, len(positions), dim) stack of the blocks at ``positions``."""
@@ -253,11 +254,12 @@ def sweep(gram: np.ndarray, u: np.ndarray, raw_col_sq_max: np.ndarray, n: int):
     Gram is Cholesky-factored, vectorized over candidates with a loop over
     its ``dim`` columns.
     ``raw_col_sq_max`` feeds the rank rule: a candidate with a failing pivot
-    is degenerate and gets delta = -inf and zero coefficients.
+    is degenerate and gets delta = -inf.
 
-    Returns (deltas, gammas): delta = sigma_sq(S) - sigma_sq(S + candidate)
-    over ``n`` observations, and gammas[:, i] candidate i's coefficients in
-    the extended model. Never raises.
+    Returns (deltas, factor): delta = sigma_sq(S) - sigma_sq(S + candidate)
+    over ``n`` observations, and ``factor`` the (chol, z, usable) triple
+    from which ``back_substitute`` solves the candidates' coefficients.
+    Never raises.
     """
     dim, k = u.shape
     chol = np.zeros((dim, dim, k))
@@ -274,13 +276,20 @@ def sweep(gram: np.ndarray, u: np.ndarray, raw_col_sq_max: np.ndarray, n: int):
         below = gram[j + 1 :, j] - np.einsum("ilk,lk->ik", chol[j + 1 :, :j], row)
         chol[j + 1 :, j] = below / pivot
         z[j] = (u[j] - np.einsum("lk,lk->k", row, z[:j])) / pivot
-    gammas = np.zeros((dim, k))
-    for j in range(dim - 1, -1, -1):
-        above = np.einsum("lk,lk->k", chol[j + 1 :, j], gammas[j + 1 :])
-        gammas[j] = (z[j] - above) / chol[j, j]
-    gammas[:, ~usable] = 0.0
     deltas = np.where(usable, np.einsum("lk,lk->k", z, z) / n, -np.inf)
-    return deltas, gammas
+    return deltas, (chol, z, usable)
+
+
+def back_substitute(factor, pos: int) -> np.ndarray:
+    """Coefficients of candidate ``pos`` in its extended model, from a
+    ``sweep`` factor; zero for a degenerate candidate."""
+    chol, z, usable = factor
+    dim = z.shape[0]
+    gamma = np.zeros(dim)
+    if usable[pos]:
+        for j in range(dim - 1, -1, -1):
+            gamma[j] = (z[j, pos] - chol[j + 1 :, j, pos] @ gamma[j + 1 :]) / chol[j, j, pos]
+    return gamma
 
 
 def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np.ndarray]:
@@ -291,12 +300,12 @@ def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np
     extended model. Raises DegenerateCandidateError when the block fails
     the rank rule.
     """
-    deltas, gammas = sweep(*residualize(cache, block.matrix[:, None, :]), cache.n)
+    deltas, factor = sweep(*residualize(cache, block.matrix[:, None, :]), cache.n)
     if not np.isfinite(deltas[0]):
         raise DegenerateCandidateError(
             f"candidate {block.covariate_index} is collinear with the model"
         )
-    return float(deltas[0]), gammas[:, 0]
+    return float(deltas[0]), back_substitute(factor, 0)
 
 
 def predict_response(

@@ -26,6 +26,7 @@ from .errors import (
 from .regression import (
     CandidateGrams,
     ProjectionCache,
+    back_substitute,
     build_projection_cache,
     extend_cache,
     residualize,
@@ -184,7 +185,7 @@ def _confirmed_winner(
             break
         for part in np.split(todo, range(CONFIRM_BATCH, todo.size, CONFIRM_BATCH)):
             gram, u, raw_col_sq_max = residualize(cache, grams.blocks(part))
-            deltas, _ = sweep(gram, u, raw_col_sq_max, cache.n)
+            deltas = sweep(gram, u, raw_col_sq_max, cache.n)[0]
             exact[part] = _scores(deltas, u, criterion)
         checked[todo] = True
     return _argbest(exact)
@@ -213,9 +214,9 @@ def select_candidate(
     order = sorted(range(len(blocks)), key=lambda i: blocks[i].covariate_index)
     blocks = [blocks[i] for i in order]
     gram, u, raw_col_sq_max = residualize(cache, np.stack([b.matrix for b in blocks], axis=1))
-    deltas, gammas = sweep(gram, u, raw_col_sq_max, cache.n)
+    deltas, factor = sweep(gram, u, raw_col_sq_max, cache.n)
     pos = _argbest(_scores(deltas, u, criterion))
-    return int(blocks[pos].covariate_index), float(deltas[pos]), gammas[:, pos]
+    return int(blocks[pos].covariate_index), float(deltas[pos]), back_substitute(factor, pos)
 
 
 def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
@@ -225,6 +226,15 @@ def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
     if pool_idx.size and pool_idx[-1] - pool_idx[0] + 1 == pool_idx.size:
         return x[:, pool_idx[0] : pool_idx[-1] + 1]
     return x[:, pool_idx]
+
+
+def _full_rank_alone(block: DesignBlock, y: np.ndarray) -> bool:
+    """Whether ``block`` passes the rank rule in a model of its own."""
+    try:
+        build_projection_cache([block], y)
+    except SingularDesignError:
+        return False
+    return True
 
 
 def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
@@ -258,7 +268,7 @@ def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
     except SingularDesignError as exc:
         j = exc.covariate_index
         name = dataset.column_names[j]
-        if j == initial[0]:
+        if not _full_rank_alone(blocks[initial.index(j)], dataset.y):
             message = f"initial covariate {name!r}: its spline block is rank deficient on its own"
         else:
             message = (
@@ -321,6 +331,10 @@ def run_forward(
     best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
     stop = None
+    # Orthonormal columns accepted into the model but not yet projected off
+    # the candidates' Grams; the update waits for the sweep that needs it,
+    # so a pass that stops after a step does not update at all.
+    q_new = None
     while True:
         if len(steps) >= max_steps:
             stop = "max_steps"
@@ -328,7 +342,10 @@ def run_forward(
         if not alive.any():
             stop = "candidates_exhausted"
             break
-        deltas, _ = sweep(grams.gram, grams.u, grams.col_sq_max, n)
+        if q_new is not None:
+            grams.update(q_new, cache.residual_y)
+            q_new = None
+        deltas = sweep(grams.gram, grams.u, grams.col_sq_max, n)[0]
         scores = _scores(deltas, grams.u, criterion)
         try:
             pos = _confirmed_winner(cache, grams, scores, alive, criterion)
@@ -345,9 +362,8 @@ def run_forward(
             # candidate and keep going.
             alive[pos] = False
             continue
-        # The candidates' Grams are kept current: after each acceptance only the
-        # newly added orthonormal directions are projected out.
-        grams.update(new_cache.q[:, cache.q.shape[1] :], new_cache.residual_y)
+        # Only the newly added orthonormal directions are projected out.
+        q_new = new_cache.q[:, cache.q.shape[1] :]
         cache = new_cache
         alive[pos] = False
 
@@ -384,7 +400,7 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
     n, dim = dataset.n, basis.dim
     _, candidates, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
-    deltas, _ = sweep(grams.gram, grams.u, grams.col_sq_max, n)
+    deltas = sweep(grams.gram, grams.u, grams.col_sq_max, n)[0]
 
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
     # exact fit first. The criterion at sigma_sq = 1 is its penalty alone.

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, from_arrays
+# from_arrays is unused here; perfbench/spans.py WRAPS wraps this import.
+from .data import INTERCEPT_NAME, Dataset, from_arrays
 from .errors import ConfigError, DataError
 from .regression import FitResult, fit_full, predict_response
 from .selection import EbicConfig, SelectionTrace, marginal_rank_screen, run_forward
@@ -29,6 +31,10 @@ from .splines import SplineBasis, basis_matrix, build_basis
 _PURPOSE_TRAIN = 0
 _PURPOSE_TEST = 1
 _PURPOSE_SNR = 2
+
+# Normal draws per generator call when a design matrix is filled, so that
+# the raw draws exist one block of rows at a time.
+DRAW_BLOCK_CELLS = 1 << 14
 
 # Active coefficient functions per benchmark model, keyed by covariate index.
 EXAMPLE_COEFFS = {
@@ -125,20 +131,33 @@ def _stream(seed: int, rep_index: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, rep_index, purpose)))
 
 
+@lru_cache(maxsize=4)
+def _column_names(p: int) -> tuple[str, ...]:
+    return (INTERCEPT_NAME, *(f"x{j}" for j in range(1, p + 1)))
+
+
 def _draw(scenario: SimScenario, rng: np.random.Generator, size: int) -> Dataset:
-    # Draw order is fixed (u1, u2, z, eps) so streams are reproducible.
+    # Draw order is fixed (u1, u2, z, eps) so streams are reproducible; z is
+    # drawn in row blocks, which continue one stream, straight into the
+    # design matrix behind its intercept column.
+    p = scenario.p
     u1 = rng.random(size)
     u2 = rng.random(size)
-    z = rng.standard_normal((size, scenario.p))
-    eps = rng.standard_normal(size)
-    # x = (z + t1 u1) / (1 + t1), rounded as written but computed in z.
-    x = np.add(z, scenario.t1 * u1[:, None], out=z)
-    np.divide(x, 1.0 + scenario.t1, out=x)
+    x = np.empty((size, p + 1))
+    x[:, 0] = 1.0
+    shift = scenario.t1 * u1
+    rows = max(1, DRAW_BLOCK_CELLS // p)
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        z = rng.standard_normal((stop - start, p))
+        # x = (z + t1 u1) / (1 + t1), rounded as written.
+        np.add(z, shift[start:stop, None], out=z)
+        np.divide(z, 1.0 + scenario.t1, out=x[start:stop, 1:])
+    y = rng.standard_normal(size)  # eps, to which the signal is added
     t = (u2 + scenario.t2 * u1) / (1.0 + scenario.t2)
-    y = eps.copy()
     for j, coeff in EXAMPLE_COEFFS[scenario.example_id].items():
-        y += coeff(t) * x[:, j - 1]
-    return from_arrays(y, t, x)
+        y += coeff(t) * x[:, j]
+    return Dataset(y=y, t=t, x=x, column_names=_column_names(p))
 
 
 def generate(scenario: SimScenario, rep_index: int):

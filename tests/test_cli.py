@@ -185,6 +185,37 @@ def test_select_index_in_one_knot_span_gives_one_message_with_and_without_screen
     assert errs[0] == errs[1]
 
 
+def test_select_later_initial_block_rank_deficient_on_its_own(tmp_path, capsys):
+    # a is zero wherever t >= 0.2, so its block spans only the few basis
+    # functions alive there: it fails the rank rule alone, after the
+    # intercept as well as first.
+    rng = np.random.default_rng(8)
+    n = 60
+    t = rng.random(n)
+    a = np.where(t < 0.2, rng.standard_normal(n), 0.0)
+    cols = np.column_stack([rng.standard_normal(n), t, a, rng.standard_normal(n)])
+    data = tmp_path / "early.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        fh.write("y,t,a,b\n")
+        np.savetxt(fh, cols, fmt="%.17g", delimiter=",")
+    errs = []
+    for initial in ("a", "intercept,a"):
+        code = main(
+            [
+                "select",
+                "--data", str(data),
+                "--y-column", "y",
+                "--t-column", "t",
+                "--initial", initial,
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 3
+        errs.append(capsys.readouterr().err)
+    assert "initial covariate 'a': its spline block is rank deficient on its own" in errs[0]
+    assert errs[1] == errs[0]
+
+
 def test_select_report_bytes_deterministic(tmp_path):
     data = _noise_csv(tmp_path / "d.csv", seed=9)
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"

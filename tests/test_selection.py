@@ -287,6 +287,47 @@ def test_run_forward_neither_copies_nor_squares_x():
     assert peak < ds.x.nbytes, f"peak traced allocation {peak / 1e6:.1f} MB"
 
 
+def test_candidate_grams_hold_only_grams_and_cross_products():
+    # dim^2 Gram entries, dim cross products and one rank-rule scale per
+    # candidate: 456 bytes at dim 7. The set-up's GEMM product over x is
+    # not kept.
+    n, p = 400, 2000
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((n, p))
+    basis = vf.build_basis(7, 4)
+    bmat = vf.basis_matrix(basis, rng.random(n))
+    cache = vf.build_projection_cache([vf.DesignBlock(0, bmat)], rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        grams = CandidateGrams(bmat, x, cache.q, cache.residual_y)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grams.gram.shape == (7, 7, p)
+    assert held / p < 600, f"{held / p:.0f} bytes held per candidate"
+
+
+def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
+    # One update in set-up, then one before each later sweep: a pass that
+    # stops on patience or max_steps after a step does not update again.
+    calls = []
+    update = CandidateGrams.update
+
+    def counting(self, q, r):
+        calls.append(q.shape[1])
+        update(self, q, r)
+
+    monkeypatch.setattr(CandidateGrams, "update", counting)
+    sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
+    train, _, _ = vf.generate(sc, 0)
+    basis = vf.build_basis(7, 4)
+    for max_steps, stop, steps in ((None, "patience_exhausted", 13), (4, "max_steps", 4)):
+        calls.clear()
+        trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, max_steps=max_steps))
+        assert (trace.stop_reason, len(trace.steps)) == (stop, steps)
+        assert calls == [7] * steps
+
+
 def test_run_forward_noise_keeps_intercept_mostly():
     # With pure noise the criterion should rise immediately for the first
     # candidate in nearly every seeded run.

@@ -1,11 +1,13 @@
 """Generator fidelity, metrics and aggregation tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import vcforward as vf
+from vcforward import simulation
 from vcforward.errors import ConfigError, DataError
 from vcforward.simulation import EXAMPLE_COEFFS
 
@@ -58,19 +60,39 @@ def test_generate_reproducible_and_split():
 
 @pytest.mark.parametrize("example", ["ex1", "ex2"])
 @pytest.mark.parametrize("t1,t2", [(0.0, 0.0), (3.0, 1.0)])
-def test_generate_matches_the_oracle_draw_bit_for_bit(example, t1, t2):
+def test_generate_matches_the_oracle_draw_bit_for_bit(example, t1, t2, monkeypatch):
     sc = vf.SimScenario(example, n=60, p=25, t1=t1, t2=t2, seed=41, reps=3)
-    for rep in (0, 2):
-        train, test, _ = vf.generate(sc, rep)
-        for purpose, ds in ((0, train), (1, test)):
-            y, t, x, constant = benchmark_draw(
-                EXAMPLE_COEFFS[example], 41, rep, purpose, ds.n, sc.p, t1, t2
-            )
-            assert ds.y.tobytes() == y.tobytes()
-            assert ds.t.tobytes() == t.tobytes()
-            assert ds.x[:, 1:].tobytes() == x.tobytes()
-            assert ds.x[:, 0].tobytes() == np.ones(ds.n).tobytes()
-            assert ds.constant_columns == constant == ()
+    # One generator call fills the whole matrix, then seven-row blocks do:
+    # eight full blocks and a partial one for the training draw, four and
+    # a partial one for the test draw.
+    for cells in (simulation.DRAW_BLOCK_CELLS, 7 * sc.p):
+        monkeypatch.setattr(simulation, "DRAW_BLOCK_CELLS", cells)
+        for rep in (0, 2):
+            train, test, _ = vf.generate(sc, rep)
+            for purpose, ds in ((0, train), (1, test)):
+                y, t, x, constant = benchmark_draw(
+                    EXAMPLE_COEFFS[example], 41, rep, purpose, ds.n, sc.p, t1, t2
+                )
+                assert ds.y.tobytes() == y.tobytes()
+                assert ds.t.tobytes() == t.tobytes()
+                assert ds.x[:, 1:].tobytes() == x.tobytes()
+                assert ds.x[:, 0].tobytes() == np.ones(ds.n).tobytes()
+                assert ds.constant_columns == constant == ()
+                assert ds.column_names == ("intercept", *(f"x{j}" for j in range(1, 26)))
+
+
+def test_generate_draws_straight_into_the_design_matrices():
+    # The draw is written into each dataset's (n, p+1) matrix in row
+    # blocks, with no full-size copy of the raw normals or of the matrix.
+    sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
+    tracemalloc.start()
+    try:
+        train, test, _ = vf.generate(sc, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = train.x.nbytes + test.x.nbytes
+    assert peak < 1.2 * held, f"peak {peak / held:.2f} times the two design matrices"
 
 
 def test_generate_index_variable_in_unit_interval():
