@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -69,6 +70,8 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+# Built once per process: parsing leaves it unchanged, and main() may run often.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vcforward", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -63,14 +63,15 @@ class Dataset:
         if self.column_names[0] != INTERCEPT_NAME:
             raise DataError(f"column 0 must be named {INTERCEPT_NAME!r}")
         _check_column_names(self.column_names[1:], self.column_names[1:])
-        if not (np.isfinite(self.y).all() and np.isfinite(self.t).all() and np.isfinite(self.x).all()):
+        # NaN and +-inf propagate through max and min: no n x (p+1) mask.
+        col_max, col_min = self.x.max(axis=0), self.x.min(axis=0)
+        if not all(np.isfinite(v).all() for v in (self.y, self.t, col_max, col_min)):
             raise DataError("dataset contains NaN or infinite values")
-        if not np.array_equal(self.x[:, 0], np.ones(n)):
+        if not col_max[0] == col_min[0] == 1.0:
             raise DataError("column 0 must be the all-ones intercept")
         if self.t.min() < 0.0 or self.t.max() > 1.0:
             raise DataError("index variable must lie in [0, 1] after rescaling")
-        cov = self.x[:, 1:]
-        constant = np.flatnonzero(cov.max(axis=0) == cov.min(axis=0)) + 1
+        constant = np.flatnonzero(col_max[1:] == col_min[1:]) + 1
         object.__setattr__(self, "constant_columns", tuple(constant.tolist()))
 
     @property
@@ -146,18 +147,37 @@ _CONVERT_ERROR = re.compile(
 _WIDTH_ERROR = re.compile(r"the number of columns changed from (\d+) to (\d+) at row (\d+);")
 
 
-def _cell_error(message: str, header: list[str]) -> str:
+def _first_row_width(fh) -> int | None:
+    """Field count of the first data row of the CSV handle ``fh``, reread
+    from its start (loadtxt skips empty lines, not whitespace-only ones);
+    None when ``fh`` cannot seek."""
+    try:
+        fh.seek(0)
+    except OSError:
+        return None
+    rows = csv.reader(fh)
+    next(rows)
+    return len(next(row for row in rows if row))
+
+
+def _cell_error(message: str, header: list[str], fh) -> str:
     """Restate a loadtxt ValueError message in data rows and header names.
 
     Rows are numbered from 1 over the non-blank lines after the header. A
+    conversion error in the first row, which sets loadtxt's width, is a
+    field-count error when that row's width, reread from ``fh``, is wrong. A
     message of another shape is returned unchanged.
     """
     width = len(header)
     match = _CONVERT_ERROR.match(message)
     if match:
         cell, row, col = match.group(1), int(match.group(2)) + 1, int(match.group(3))
+        got = _first_row_width(fh) if row == 1 else None
         if col > width:
-            return f"data row {row} has at least {col} fields, expected {width}"
+            total = f" ({got} in all)" if got else ""
+            return f"data row {row} has at least {col} fields, expected {width}{total}"
+        if got not in (None, width):
+            return f"data row 1 has {got} fields, expected {width}"
         return f"non-numeric value {cell} at data row {row}, column {header[col - 1]!r}"
     match = _WIDTH_ERROR.match(message)
     if match:
@@ -183,7 +203,7 @@ def _parse_cells(fh, path, header: list[str]) -> np.ndarray:
         try:
             cells = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
-            raise DataError(f"{path}: {_cell_error(str(exc), header)}") from None
+            raise DataError(f"{path}: {_cell_error(str(exc), header, fh)}") from None
     if not cells.size:
         return np.empty((0, width))
     if cells.shape[1] != width:

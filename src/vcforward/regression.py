@@ -2,13 +2,11 @@
 
 The projection cache factors the current model's design as W = QR, growing
 Q and R by one block at a time. Full fits solve R gamma = Q^T y on that
-factor, and every candidate's variance drop comes from one batched sweep
-that Cholesky-factors the candidate's Gram with the model span projected
-out, so scoring costs one small (dim x dim) factorisation per candidate
-instead of a full refit. Those Grams come from explicitly residualized
-blocks (``residualize``) or, for a whole candidate pool, from matrix
-products over the covariates downdated per accepted block
-(``CandidateGrams``). One rank rule decides usability on every route.
+factor. A whole candidate pool is scored by one batched sweep: one small
+(dim x dim) Cholesky per candidate, of its Gram with the model span
+projected out (``CandidateGrams``), instead of a full refit. One candidate
+is scored exactly on the factor extension itself (``extension_terms``).
+One rank rule decides usability on both routes.
 """
 
 from __future__ import annotations
@@ -125,7 +123,7 @@ def _append_orthonormal(
 
 
 def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> ProjectionCache:
-    """Factor the span of the given blocks and residualize y against it.
+    """Factor the span of the given blocks and project y off it.
 
     Raises OverparameterizedError when the stacked design has more columns
     than rows and SingularDesignError, naming the covariate index of the
@@ -166,20 +164,18 @@ def extend_cache(cache: ProjectionCache, block: DesignBlock) -> ProjectionCache:
     )
 
 
-def residualize(cache: ProjectionCache, w_stack: np.ndarray):
-    """Kernel inputs of stacked (n, k, dim) candidate blocks, projected explicitly.
+def extension_terms(cache: ProjectionCache, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, rn) of the block ``matrix`` on the factor extension ``extend_cache`` makes.
 
-    Projects the model span off the blocks and returns (gram, u, col_sq_max)
-    in the layout ``sweep`` takes: each block's residualized Gram as
-    gram[:, :, i], its cross products with the residual response as
-    u[:, i], and its largest squared raw column norm (the rank rule's scale).
+    z = Qn^T r for the new orthonormal columns Qn and the model's residual
+    r, and rn is the new diagonal block of R. The block with the model span
+    projected out is Qn rn, so its variance drop is z.z / n, its cross
+    product with r is rn^T z and its coefficients are rn^-1 z. Raises
+    SingularDesignError when the block fails the rank rule.
     """
-    n, k, dim = w_stack.shape
-    wflat = w_stack.reshape(n, k * dim)
-    wt = (wflat - cache.q @ (cache.q.T @ wflat)).reshape(n, k, dim)
-    gram = np.einsum("nkl,nkm->lmk", wt, wt)
-    u = (wt.reshape(n, k * dim).T @ cache.residual_y).reshape(k, dim).T
-    return gram, u, np.einsum("nkl,nkl->kl", w_stack, w_stack).max(axis=1)
+    q, r = _append_orthonormal(cache.q, cache.r, matrix)
+    d = matrix.shape[1]
+    return q[:, -d:].T @ cache.residual_y, r[-d:, -d:]
 
 
 # Covariate columns per GEMM when the raw Grams are formed, so that the
@@ -203,13 +199,12 @@ class CandidateGrams:
     products with the residual r, which is orthogonal to Q, are (B r)^T x;
     after each accepted block both come from one more GEMM over x. So
     memory stays O(n k + k dim^2): no (n, k, dim) stack and no copy of x is
-    formed, and ``x`` may be a view. ``gram`` and ``u`` are laid out as
-    ``sweep`` takes them; only the lower triangle and diagonal of ``gram``
-    are kept, which is all ``sweep`` reads, and the upper triangle is zero.
+    formed, and ``x`` may be a view. Only the lower triangle and diagonal
+    of ``gram`` are kept, which is all ``sweep`` reads, and the upper
+    triangle is zero.
 
     A downdated Gram squares each block's condition number, so a winner is
-    confirmed on explicitly residualized blocks (``blocks``, ``residualize``)
-    before it is accepted.
+    confirmed on its QR factor extension (``block``, ``extension_terms``).
     """
 
     def __init__(self, bmat: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray):
@@ -238,58 +233,40 @@ class CandidateGrams:
         # A copy, so that the whole product is freed on return.
         self.u = prod[m * dim :].copy()
 
-    def blocks(self, positions) -> np.ndarray:
-        """The (n, len(positions), dim) stack of the blocks at ``positions``."""
-        return self.bmat[:, None, :] * self.x[:, positions, None]
+    def block(self, pos: int) -> np.ndarray:
+        """The (n, dim) block of the candidate at position ``pos``."""
+        return self.bmat * self.x[:, pos : pos + 1]
 
 
-def sweep(gram: np.ndarray, u: np.ndarray, raw_col_sq_max: np.ndarray, n: int):
-    """Variance drop of every candidate from its residualized Gram.
+def sweep(grams: CandidateGrams) -> np.ndarray:
+    """Variance drop of every candidate from its downdated Gram.
 
-    Candidate i's Gram with the model span projected out is gram[:, :, i]
-    and its cross products with the residual response are u[:, i]; both
-    routes build them, ``residualize`` from explicit blocks (full Grams)
-    and ``CandidateGrams`` from products over x (lower triangles). Only the
-    lower triangle and diagonal, gram[l, m] with l >= m, are read. Each
+    Candidate i's Gram with the model span projected out is
+    grams.gram[:, :, i], of which only the lower triangle and diagonal are
+    read, and its cross products with the residual are grams.u[:, i]. Each
     Gram is Cholesky-factored, vectorized over candidates with a loop over
-    its ``dim`` columns.
-    ``raw_col_sq_max`` feeds the rank rule: a candidate with a failing pivot
-    is degenerate and gets delta = -inf.
+    its ``dim`` columns. A candidate whose pivot fails the rank rule is
+    degenerate and gets delta = -inf.
 
-    Returns (deltas, factor): delta = sigma_sq(S) - sigma_sq(S + candidate)
-    over ``n`` observations, and ``factor`` the (chol, z, usable) triple
-    from which ``back_substitute`` solves the candidates' coefficients.
-    Never raises.
+    Returns the deltas, delta = sigma_sq(S) - sigma_sq(S + candidate) over
+    the n observations. Never raises.
     """
-    dim, k = u.shape
+    dim, k = grams.u.shape
     chol = np.zeros((dim, dim, k))
     z = np.zeros((dim, k))
     usable = np.ones(k, dtype=bool)
     for j in range(dim):
         row = chol[j, :j]
-        pivot_sq = gram[j, j] - np.einsum("lk,lk->k", row, row)
-        usable &= _full_rank(pivot_sq, raw_col_sq_max)
+        pivot_sq = grams.gram[j, j] - np.einsum("lk,lk->k", row, row)
+        usable &= _full_rank(pivot_sq, grams.col_sq_max)
         # A degenerate candidate continues on an infinite pivot, which zeroes
         # the rest of its factor instead of dividing by a vanishing one.
         pivot = np.sqrt(np.where(usable, pivot_sq, np.inf))
         chol[j, j] = pivot
-        below = gram[j + 1 :, j] - np.einsum("ilk,lk->ik", chol[j + 1 :, :j], row)
+        below = grams.gram[j + 1 :, j] - np.einsum("ilk,lk->ik", chol[j + 1 :, :j], row)
         chol[j + 1 :, j] = below / pivot
-        z[j] = (u[j] - np.einsum("lk,lk->k", row, z[:j])) / pivot
-    deltas = np.where(usable, np.einsum("lk,lk->k", z, z) / n, -np.inf)
-    return deltas, (chol, z, usable)
-
-
-def back_substitute(factor, pos: int) -> np.ndarray:
-    """Coefficients of candidate ``pos`` in its extended model, from a
-    ``sweep`` factor; zero for a degenerate candidate."""
-    chol, z, usable = factor
-    dim = z.shape[0]
-    gamma = np.zeros(dim)
-    if usable[pos]:
-        for j in range(dim - 1, -1, -1):
-            gamma[j] = (z[j, pos] - chol[j + 1 :, j, pos] @ gamma[j + 1 :]) / chol[j, j, pos]
-    return gamma
+        z[j] = (grams.u[j] - np.einsum("lk,lk->k", row, z[:j])) / pivot
+    return np.where(usable, np.einsum("lk,lk->k", z, z) / grams.x.shape[0], -np.inf)
 
 
 def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np.ndarray]:
@@ -300,12 +277,13 @@ def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np
     extended model. Raises DegenerateCandidateError when the block fails
     the rank rule.
     """
-    deltas, factor = sweep(*residualize(cache, block.matrix[:, None, :]), cache.n)
-    if not np.isfinite(deltas[0]):
+    try:
+        z, rn = extension_terms(cache, block.matrix)
+    except SingularDesignError:
         raise DegenerateCandidateError(
             f"candidate {block.covariate_index} is collinear with the model"
-        )
-    return float(deltas[0]), back_substitute(factor, 0)
+        ) from None
+    return float(z @ z) / cache.n, scipy.linalg.solve_triangular(rn, z)
 
 
 def predict_response(

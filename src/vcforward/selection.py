@@ -26,10 +26,10 @@ from .errors import (
 from .regression import (
     CandidateGrams,
     ProjectionCache,
-    back_substitute,
     build_projection_cache,
     extend_cache,
-    residualize,
+    extension_terms,
+    rss_reduction,
     sweep,
 )
 from .splines import DesignBlock, SplineBasis, basis_matrix
@@ -39,10 +39,8 @@ from .splines import DesignBlock, SplineBasis, basis_matrix
 TIE_REL_TOL = 1e-12
 
 # Relative slack around the best downdated-Gram score inside which candidates
-# are re-scored on explicitly residualized blocks before a winner is taken,
-# and the number re-scored at a time.
+# are re-scored on their factor extensions before a winner is taken.
 CONFIRM_REL_TOL = 1e-6
-CONFIRM_BATCH = 256
 
 CRITERIA = ("argmin_sigma", "argmax_corr")
 
@@ -157,6 +155,18 @@ def _scores(deltas: np.ndarray, u: np.ndarray, criterion: str) -> np.ndarray:
     return np.where(np.isfinite(deltas), np.linalg.norm(u, axis=0), -np.inf)
 
 
+def _exact_score(cache: ProjectionCache, matrix: np.ndarray, criterion: str) -> float:
+    """Score of the candidate block ``matrix`` under ``criterion``, read off
+    its factor extension; -inf when the block fails the rank rule there."""
+    try:
+        z, rn = extension_terms(cache, matrix)
+    except SingularDesignError:
+        return -math.inf
+    if criterion == "argmin_sigma":
+        return float(z @ z) / cache.n
+    return float(np.linalg.norm(rn.T @ z))
+
+
 def _confirmed_winner(
     cache: ProjectionCache,
     grams: CandidateGrams,
@@ -167,10 +177,10 @@ def _confirmed_winner(
     """Position of the winner among the alive candidates.
 
     ``scores`` come from the downdated Grams. Every alive candidate whose
-    score lies within CONFIRM_REL_TOL of the best is re-scored on its
-    explicitly residualized block, and again for any that come within the
-    slack of a lower confirmed best, so the winner and its ties are always
-    decided by explicit scores.
+    score lies within CONFIRM_REL_TOL of the best is re-scored on its factor
+    extension, and again for any that come within the slack of a lower
+    confirmed best, so the winner and its ties are always decided by exact
+    scores.
     """
     exact = np.full(scores.size, -np.inf)
     checked = ~alive
@@ -183,10 +193,8 @@ def _confirmed_winner(
         todo = np.nonzero(~checked & (current >= best * (1.0 - CONFIRM_REL_TOL)))[0]
         if not todo.size:
             break
-        for part in np.split(todo, range(CONFIRM_BATCH, todo.size, CONFIRM_BATCH)):
-            gram, u, raw_col_sq_max = residualize(cache, grams.blocks(part))
-            deltas = sweep(gram, u, raw_col_sq_max, cache.n)[0]
-            exact[part] = _scores(deltas, u, criterion)
+        for pos in todo:
+            exact[pos] = _exact_score(cache, grams.block(pos), criterion)
         checked[todo] = True
     return _argbest(exact)
 
@@ -200,23 +208,21 @@ def select_candidate(
 
     Under "argmin_sigma" the winner maximizes the variance reduction
     (equivalently minimizes the extended model's variance estimate); under
-    "argmax_corr" it maximizes the norm of the residualized cross product.
-    Ties resolve to the smallest covariate index, degenerate candidates are
-    skipped, and NoCandidateError is raised when nothing usable remains.
+    "argmax_corr" the norm of its cross product with the model's residual.
+    Each candidate is scored on its factor extension; ties resolve to the
+    smallest covariate index, degenerate candidates are skipped, and
+    NoCandidateError is raised when nothing usable remains.
 
     Returns (covariate_index, delta, gamma) for the winner.
     """
     if criterion not in CRITERIA:
         raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
-    blocks = list(candidate_pool)
+    blocks = sorted(candidate_pool, key=lambda b: b.covariate_index)
     if not blocks:
         raise NoCandidateError("candidate pool is empty")
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i].covariate_index)
-    blocks = [blocks[i] for i in order]
-    gram, u, raw_col_sq_max = residualize(cache, np.stack([b.matrix for b in blocks], axis=1))
-    deltas, factor = sweep(gram, u, raw_col_sq_max, cache.n)
-    pos = _argbest(_scores(deltas, u, criterion))
-    return int(blocks[pos].covariate_index), float(deltas[pos]), back_substitute(factor, pos)
+    pos = _argbest(np.array([_exact_score(cache, b.matrix, criterion) for b in blocks]))
+    delta, gamma = rss_reduction(cache, blocks[pos])
+    return int(blocks[pos].covariate_index), delta, gamma
 
 
 def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
@@ -345,23 +351,15 @@ def run_forward(
         if q_new is not None:
             grams.update(q_new, cache.residual_y)
             q_new = None
-        deltas = sweep(grams.gram, grams.u, grams.col_sq_max, n)[0]
-        scores = _scores(deltas, grams.u, criterion)
+        scores = _scores(sweep(grams), grams.u, criterion)
         try:
             pos = _confirmed_winner(cache, grams, scores, alive, criterion)
         except NoCandidateError:
             stop = "candidates_exhausted"
             break
         j = int(pool_idx[pos])
-        block = DesignBlock(j, grams.blocks([pos])[:, 0, :])
-        try:
-            new_cache = extend_cache(cache, block)
-        except SingularDesignError:
-            # The sweep's Cholesky pivots and the cache's QR pivots apply the
-            # same rank rule but may round differently at its edge; drop the
-            # candidate and keep going.
-            alive[pos] = False
-            continue
+        # Cannot fail: the confirmation made this same extension of this factor.
+        new_cache = extend_cache(cache, DesignBlock(j, grams.block(pos)))
         # Only the newly added orthonormal directions are projected out.
         q_new = new_cache.q[:, cache.q.shape[1] :]
         cache = new_cache
@@ -400,7 +398,7 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
     n, dim = dataset.n, basis.dim
     _, candidates, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
-    deltas = sweep(grams.gram, grams.u, grams.col_sq_max, n)[0]
+    deltas = sweep(grams)
 
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
     # exact fit first. The criterion at sigma_sq = 1 is its penalty alone.

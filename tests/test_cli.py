@@ -9,6 +9,8 @@ import pytest
 import vcforward as vf
 from vcforward.cli import main
 
+from oracles import lstsq_sigma_sq
+
 
 def _noise_csv(path, seed=0, n=120, p=5):
     rng = np.random.default_rng(seed)
@@ -435,3 +437,62 @@ def test_select_excludes_constant_columns_and_reports_them(tmp_path, capsys):
     assert not set(constant) & set(report["selection"]["final_set"])
     assert 2 in report["selection"]["final_set"]
     assert vf.from_arrays(y, t, cov, names=names).constant_columns == (1, 3, 5)
+
+
+def test_select_with_n_just_above_the_coefficient_count(tmp_path, capsys):
+    # n = 36 rows, one more than the dim * (k + 1) = 35 coefficients of the
+    # intercept and four covariates at L = 7. Expected: a result (exit 0)
+    # whatever --max-steps asks, capped at n // dim - 1 = 4 accepted steps,
+    # whose variance path is the least-squares one at every prefix.
+    rng = np.random.default_rng(61)
+    n, p = 36, 10
+    t = rng.random(n)
+    x = rng.standard_normal((n, p))
+    y = 2.0 * x[:, 0] + 3.0 * t * x[:, 1] + (t + 1.0) ** 2 * x[:, 2] + x[:, 3]
+    y += 0.5 * rng.standard_normal(n)
+    data = tmp_path / "tight.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("y,t," + ",".join(f"x{j}" for j in range(1, p + 1)) + "\n")
+        np.savetxt(fh, np.column_stack([y, t, x]), fmt="%.17g", delimiter=",")
+    ds = vf.load_csv(data, "y", "t")
+    bmat = vf.basis_matrix(vf.build_basis(7, 4), ds.t)
+    out = tmp_path / "r.json"
+    for max_steps in ("4", "40"):
+        code = main(
+            [
+                "select", "--data", str(data), "--y-column", "y", "--t-column", "t",
+                "--max-steps", max_steps, "--out", str(out), "--no-timestamp",
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        sel = json.loads(out.read_text(encoding="utf-8"))["selection"]
+        assert sel["stop_reason"] == "max_steps"
+        assert len(sel["steps"]) == 4 and len(sel["final_set"]) == 5
+        path = [0] + [s["index"] for s in sel["steps"]]
+        sigmas = [s["sigma_sq"] for s in sel["steps"]]
+        for k, sigma in enumerate(sigmas, start=2):
+            blocks = [vf.DesignBlock(j, bmat * ds.x[:, j : j + 1]) for j in path[:k]]
+            assert sigma == pytest.approx(lstsq_sigma_sq(blocks, ds.y), rel=1e-8)
+        assert sigmas[-1] > 0.0
+
+
+def test_simulate_screen_smaller_than_the_support(tmp_path):
+    # --screen-k 2 keeps two of ex1's four true covariates. Expected: a
+    # result (exit 0) in which every rep accepts both screened covariates,
+    # runs out of candidates and so has TP 2 at most, here exactly 2.
+    out, per = tmp_path / "agg.json", tmp_path / "reps.csv"
+    code = main(
+        [
+            "simulate", "--example", "ex1", "--p", "200", "--reps", "4", "--seed", "7",
+            "--screen-k", "2", "--out", str(out), "--per-rep-out", str(per),
+            "--no-timestamp",
+        ]
+    )
+    assert code == 0
+    rows = per.read_text(encoding="utf-8").strip().split("\n")[1:]
+    assert len(rows) == 4
+    for row in rows:
+        _, tp, fp, _, size, _, stop = row.split(",")
+        assert (tp, fp, size, stop) == ("2", "0", "3", "candidates_exhausted")
+    metrics = json.loads(out.read_text(encoding="utf-8"))["metrics"]
+    assert (metrics["mean_tp"], metrics["mean_size"]) == (2.0, 3.0)

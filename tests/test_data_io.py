@@ -282,6 +282,71 @@ def test_load_csv_edge_cases(tmp_path, text, outcome):
 
 
 @pytest.mark.parametrize(
+    "text,outcome",
+    [
+        # loadtxt stops at the first field past the header's width; the
+        # message also counts the whole row.
+        pytest.param(
+            "y,t,a\n1,0.1,2,\n", "data row 1 has at least 4 fields, expected 3 (4 in all)",
+            id="trailing-delimiter-count",
+        ),
+        pytest.param(
+            "y,t,a\n1,0.1,2,,\n3,0.2,4\n",
+            "data row 1 has at least 4 fields, expected 3 (5 in all)",
+            id="two-trailing-delimiters",
+        ),
+        # A whitespace-only first row is one field wide, as it is later on.
+        pytest.param(
+            "y,t,a\n   \n1,0.1,2\n", "data row 1 has 1 fields, expected 3", id="whitespace-first"
+        ),
+        pytest.param(
+            "\ufeffy,t,a\n\n   \n1,0.1,2\n", "data row 1 has 1 fields, expected 3",
+            id="bom-blank-whitespace-first",
+        ),
+        # A short first row with a bad cell is a field-count error too.
+        pytest.param(
+            "y,t,a\nabc,0.1\n", "data row 1 has 2 fields, expected 3", id="short-first-non-numeric"
+        ),
+        # A bad cell in a first row of the right width stays non-numeric.
+        pytest.param(
+            'y,t,a\n"1,5",0.1,2\n', "non-numeric value '1,5' at data row 1, column 'y'",
+            id="quoted-comma",
+        ),
+    ],
+)
+def test_load_csv_first_row_width_errors_give_the_row_width(tmp_path, text, outcome):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(DataError, match=re.escape(f"edge.csv: {outcome}")):
+        vf.load_csv(path, "y", "t")
+
+
+def test_dataset_checks_finiteness_without_a_full_mask():
+    # An n x (p+1) bool mask would be 4.0 MB here; the per-column extremes
+    # and the name check stay under 1 MB.
+    n, p = 400, 10_000
+    rng = np.random.default_rng(7)
+    x = np.empty((n, p + 1))
+    x[:, 0] = 1.0
+    x[:, 1:] = rng.standard_normal((n, p))
+    names = ("intercept",) + tuple(f"x{j}" for j in range(1, p + 1))
+    y, t = rng.standard_normal(n), rng.random(n)
+    tracemalloc.start()
+    try:
+        vf.Dataset(y, t, x, names)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak traced allocation {peak / 1e6:.2f} MB"
+    for col in (0, 1, p):
+        for bad in (np.nan, np.inf, -np.inf):
+            x_bad = x[:50, :].copy()
+            x_bad[17, col] = bad
+            with pytest.raises(DataError, match="dataset contains NaN or infinite values"):
+                vf.Dataset(y[:50], t[:50], x_bad, names)
+
+
+@pytest.mark.parametrize(
     "raw", [b"y,t,\xffa\n1,0.5,2\n", b"y,t,a\n" + b"1,0.5,2\n" * 2000 + b"1,0.5,\xff2\n"],
     ids=["header", "late-row"],
 )

@@ -241,8 +241,8 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
         assert pos == 1
     with pytest.raises(NoCandidateError):
         selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]), ~alive, "argmin_sigma")
-    # More tied candidates than one re-scoring batch: the tie goes to the
-    # first position.
+    # Many exact ties, each re-scored on its own factor extension: the tie
+    # goes to the first position.
     copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), cache.q, cache.residual_y)
     scores = np.ones(300)
     assert selection._confirmed_winner(cache, copies, scores, scores > 0, "argmin_sigma") == 0
@@ -326,6 +326,38 @@ def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
         trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, max_steps=max_steps))
         assert (trace.stop_reason, len(trace.steps)) == (stop, steps)
         assert calls == [7] * steps
+
+
+def test_run_forward_sweeps_once_per_step_and_once_when_the_pool_runs_dry(monkeypatch):
+    # A step accepts the confirmed winner on its factor extension, so no
+    # candidate is dropped for a second sweep: one sweep per accepted step,
+    # and one more that finds no usable candidate when the pool runs dry.
+    calls = []
+    sweep = selection.sweep
+
+    def counting(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(selection, "sweep", counting)
+    runs = []
+    rng = np.random.default_rng(52)
+    basis = vf.build_basis(4, 3)
+    for _ in range(10):
+        ds, _ = _adversarial_instance(rng)
+        runs.append((ds, basis, range(1, ds.p + 1)))
+    sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
+    train, _, _ = vf.generate(sc, 0)
+    runs.append((train, vf.build_basis(7, 4), None))
+    dry = 0
+    for ds, basis, pool in runs:
+        calls.clear()
+        trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0), candidate_pool=pool)
+        steps = len(trace.steps)
+        extra = trace.stop_reason == "candidates_exhausted" and ds.p > steps
+        assert len(calls) == steps + extra, (trace.stop_reason, steps)
+        dry += extra
+    assert dry >= 1
 
 
 def test_run_forward_noise_keeps_intercept_mostly():
@@ -549,7 +581,7 @@ def test_marginal_screen_ranks_exact_fits_first_ties_by_index_degenerate_last(mo
     # Variance drops of covariates 1..7: 3 and 5 fit exactly (5 overshoots
     # to a negative variance), 1 and 4 tie, 2 is degenerate.
     deltas = sigma0 * np.array([0.5, -np.inf, 1.0, 0.5, 2.0, 0.1, 0.0])
-    monkeypatch.setattr(selection, "sweep", lambda *args: (deltas, None))
+    monkeypatch.setattr(selection, "sweep", lambda *args: deltas)
     ranked = vf.marginal_rank_screen(ds, basis, ds.p)
     assert ranked == [3, 5, 1, 4, 6, 7, 2]
     # The same order as scoring each candidate's BIC one at a time.
