@@ -6,7 +6,9 @@ factor. A whole candidate pool is scored by one batched sweep: one small
 (dim x dim) Cholesky per candidate, of its Gram with the model span
 projected out (``CandidateGrams``), instead of a full refit. One candidate
 is scored exactly on the factor extension itself (``extension_terms``).
-One rank rule decides usability on both routes.
+One rank rule decides usability on both routes. It keeps R's diagonal
+nonzero, so the LU in np.linalg.solve on R or a diagonal block of it (upper
+triangular) takes no row swaps: a triangular solve that never raises.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateCandidateError,
@@ -90,7 +91,7 @@ def fit_full(cache: ProjectionCache, y: np.ndarray) -> FitResult:
     as ``SelectionTrace.final_cache`` or ``build_projection_cache``'s; the
     variance estimate sigma_sq = RSS / n is the cache's. Never raises.
     """
-    gamma = scipy.linalg.solve_triangular(cache.r, cache.q.T @ np.asarray(y, dtype=float))
+    gamma = np.linalg.solve(cache.r, cache.q.T @ np.asarray(y, dtype=float))
     return FitResult(cache.index_set, gamma, cache.sigma_sq, True)
 
 
@@ -283,7 +284,7 @@ def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np
         raise DegenerateCandidateError(
             f"candidate {block.covariate_index} is collinear with the model"
         ) from None
-    return float(z @ z) / cache.n, scipy.linalg.solve_triangular(rn, z)
+    return float(z @ z) / cache.n, np.linalg.solve(rn, z)
 
 
 def predict_response(

@@ -7,7 +7,6 @@ import math
 import sys
 
 import numpy as np
-import scipy
 
 from .data import GRID_NAME, open_file
 from .regression import FitResult, coefficient_curve
@@ -61,7 +60,6 @@ def build_selection_report(
     report["versions"] = {
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
     }
     report["dataset"] = dataset_info
     report["selection"] = {

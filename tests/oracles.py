@@ -76,15 +76,22 @@ def normal_equations_sigma_sq(blocks, y):
     return float(y @ y - (w.T @ y) @ gamma) / n
 
 
+def lstsq_gamma(blocks, y):
+    """Least-squares coefficients of the stacked blocks via dense lstsq on
+    the equilibrated design, scaled back to the raw columns."""
+    w = np.hstack([b.matrix for b in blocks])
+    norms = np.linalg.norm(w, axis=0)
+    gamma, *_ = np.linalg.lstsq(_equilibrate(w), np.asarray(y, dtype=float), rcond=None)
+    return gamma / np.where(norms > 0.0, norms, 1.0)
+
+
 def lstsq_sigma_sq(blocks, y):
     """RSS / n via dense lstsq (rank-tolerant reference)."""
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if not blocks:
         return float(y @ y) / n
-    w = _equilibrate(np.hstack([b.matrix for b in blocks]))
-    gamma, *_ = np.linalg.lstsq(w, y, rcond=None)
-    resid = y - w @ gamma
+    resid = y - np.hstack([b.matrix for b in blocks]) @ lstsq_gamma(blocks, y)
     return float(resid @ resid) / n
 
 

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +500,84 @@ def test_simulate_screen_smaller_than_the_support(tmp_path):
         assert (tp, fp, size, stop) == ("2", "0", "3", "candidates_exhausted")
     metrics = json.loads(out.read_text(encoding="utf-8"))["metrics"]
     assert (metrics["mean_tp"], metrics["mean_size"]) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda rng, n: rng.choice([0.1, 0.5, 0.9], size=n),
+        lambda rng, n: 0.5 + 1e-6 * rng.standard_normal(n),
+    ],
+    ids=["three-values", "clustered"],
+)
+def test_select_on_tied_or_clustered_index_values(tmp_path, capsys, law):
+    # Index values with three distinct values, or all within 1e-5 of 0.5
+    # (inside [0, 1], so not rescaled): every spline block spans at most
+    # three basis functions of the L=7 basis. Expected: the default initial
+    # set is a numerical error (exit 3); an empty initial set is a result
+    # (exit 0) with no covariate, since every candidate is degenerate, and
+    # its report and (grid-only) curves file are written.
+    rng = np.random.default_rng(71)
+    n, p = 200, 5
+    t = law(rng, n)
+    x = rng.standard_normal((n, p))
+    y = 2.0 * x[:, 0] + rng.standard_normal(n)
+    data = tmp_path / "tied.csv"
+    with open(data, "w", encoding="utf-8") as fh:
+        fh.write("y,t," + ",".join(f"x{j}" for j in range(1, p + 1)) + "\n")
+        np.savetxt(fh, np.column_stack([y, t, x]), fmt="%.17g", delimiter=",")
+    out, curves = tmp_path / "r.json", tmp_path / "c.csv"
+    argv = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
+            "--out", str(out), "--curves-out", str(curves), "--no-timestamp"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "initial covariate 'intercept': its spline block is rank deficient on its own" in err
+    assert not out.exists()
+    for criterion in ("argmin-sigma", "argmax-corr"):
+        code = main([*argv, "--initial", "empty", "--criterion", criterion])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["selection"]["final_set"] == [] and report["selection"]["steps"] == []
+        assert report["selection"]["stop_reason"] == "candidates_exhausted"
+        assert report["dataset"]["rescale_map"] == [0.0, 1.0]
+        assert list(report["curves"]) == ["t"]
+        rows = curves.read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "t" and len(rows) == 102
+        assert "selected 0 covariates" in capsys.readouterr().out
+        out.unlink()
+        curves.unlink()
+
+
+def test_cli_process_loads_no_scipy_and_one_openblas(tmp_path):
+    # A fresh interpreter that runs a tiny simulate in-process must load
+    # numpy's BLAS/LAPACK only (numpy's wheels bundle OpenBLAS): a second
+    # library, such as scipy's own OpenBLAS, brings its own thread pool and
+    # about 27 MB of resident memory.
+    script = """
+import json, os, sys
+from vcforward.cli import main
+
+code = main(["simulate", "--example", "ex1", "--p", "50", "--reps", "2",
+             "--out", sys.argv[1], "--no-timestamp"])
+libs = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+print(json.dumps({
+    "code": code,
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "libs": libs,
+}))
+"""
+    src = str(Path(vf.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "agg.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    facts = json.loads(done.stdout.strip().splitlines()[-1])
+    assert facts["code"] == 0
+    assert facts["scipy"] == []
+    if facts["libs"] is not None:
+        assert len(facts["libs"]) == 1, facts["libs"]

@@ -11,7 +11,7 @@ from vcforward.errors import (
     SingularDesignError,
 )
 
-from oracles import dense_projector, lstsq_sigma_sq, normal_equations_sigma_sq
+from oracles import dense_projector, lstsq_gamma, lstsq_sigma_sq, normal_equations_sigma_sq
 
 
 def _blocks(basis, t, x, indices):
@@ -53,6 +53,26 @@ def test_fit_full_matches_normal_equations():
     assert fit.sigma_sq == pytest.approx(want, rel=1e-8)
     assert fit.index_set == (0, 2, 4)
     assert fit.gamma.shape == (3 * basis.dim,)
+    # Coefficients against dense lstsq, also on designs that pass the rank
+    # rule but are ill-conditioned: the 1e-3 near-duplicate of
+    # test_rank_rule_agrees_across_kernel_and_cache (condition number about
+    # 1e4) and columns scaled by 1e8 and 1e-8 (about 1e17). Each covariate's
+    # coefficients are compared relative to their own norm. The largest
+    # error measured over 38 seeds of this instance was 4.1e-12 on the
+    # near-duplicate, 2.2e-14 scaled and 6.6e-15 plain; the bound leaves
+    # about a 25x margin over the worst.
+    z = np.random.default_rng(102).standard_normal(len(t))
+    designs = [
+        x[:, [0, 2, 4]],
+        np.column_stack([x[:, 0], x[:, 1], x[:, 1] + 1e-3 * z]),
+        np.column_stack([x[:, 0], 1e8 * x[:, 1], 1e-8 * x[:, 2]]),
+    ]
+    for cols in designs:
+        blocks = _blocks(basis, t, cols, range(3))
+        gamma = vf.fit_full(vf.build_projection_cache(blocks, y), y).gamma.reshape(3, -1)
+        want = lstsq_gamma(blocks, y).reshape(3, -1)
+        err = np.linalg.norm(gamma - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert err.max() <= 1e-10, err
 
 
 def test_fit_full_overparameterized():

@@ -502,12 +502,20 @@ def test_run_forward_exact_fit_on_zero_response():
 
 
 def test_run_forward_empty_initial_set():
+    # ex1 has no constant term. Expected under both criteria: the intercept
+    # never enters, and the final set is exactly the support x1..x4,
+    # accepted in the first four steps.
     sc = vf.SimScenario("ex1", n=300, p=30, t1=0.0, t2=0.0, seed=12, reps=1)
     train, _, _ = vf.generate(sc, 0)
     basis = vf.build_basis(5, 4)
-    trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5), initial_set=())
-    assert trace.initial_set == ()
-    assert trace.steps
+    for criterion in ("argmin_sigma", "argmax_corr"):
+        trace = vf.run_forward(
+            train, basis, vf.EbicConfig(eta=0.0, patience=5), initial_set=(), criterion=criterion
+        )
+        assert trace.initial_set == ()
+        assert sorted(trace.final_set) == [1, 2, 3, 4]
+        assert trace.final_set == tuple(s.index for s in trace.steps[:4])
+        assert trace.stop_reason == "patience_exhausted"
 
 
 def _rebuilt_fit(dataset, basis, index_set):
