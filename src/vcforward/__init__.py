@@ -10,7 +10,6 @@ from .data import Dataset, from_arrays, load_csv
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateCandidateError,
     NoCandidateError,
     NumericalError,
     OverparameterizedError,
@@ -24,7 +23,6 @@ from .regression import (
     extend_cache,
     fit_full,
     predict_response,
-    rss_reduction,
 )
 from .selection import (
     EbicConfig,
@@ -34,7 +32,6 @@ from .selection import (
     ebic,
     marginal_rank_screen,
     run_forward,
-    select_candidate,
 )
 from .simulation import (
     AggregateMetrics,
@@ -63,7 +60,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "DegenerateCandidateError",
     "DesignBlock",
     "EbicConfig",
     "FitResult",
@@ -94,10 +90,8 @@ __all__ = [
     "marginal_rank_screen",
     "predict_response",
     "robust_sd",
-    "rss_reduction",
     "run_forward",
     "run_rep",
-    "select_candidate",
     "snr",
     "true_correlations",
 ]

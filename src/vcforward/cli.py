@@ -212,7 +212,6 @@ def cmd_select(args) -> int:
         final_names=[dataset.column_names[j] for j in trace.final_set],
         curves=curves,
         grid=grid,
-        metrics=None,
         warnings=warnings,
         timestamp=None if args.no_timestamp else _timestamp(),
     )
@@ -276,6 +275,9 @@ def cmd_simulate(args) -> int:
     )
     config, criterion = _stopping_rule(args)
     build_basis(args.L, args.order)  # validate early
+    # Its own stream, so computing it first also validates --snr-samples
+    # before any rep runs.
+    snr_estimate = snr(scenario, args.snr_samples)
 
     tasks = [
         (scenario, r, args.L, args.order, config, criterion, args.screen_k)
@@ -288,9 +290,7 @@ def cmd_simulate(args) -> int:
         results = [_rep_task(t) for t in tasks]
     results.sort(key=lambda r: r[0])
 
-    metrics = [m for _, m, _, _ in results]
-    snr_estimate = snr(scenario, args.snr_samples)
-    agg = aggregate(metrics, snr_estimate=snr_estimate)
+    agg = aggregate([m for _, m, _, _ in results], snr_estimate=snr_estimate)
 
     out = {"schema": SCHEMA_VERSION}
     if not args.no_timestamp:
@@ -326,6 +326,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_basis_check(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     basis = build_basis(args.L, args.order)
     grid = np.linspace(0.0, 1.0, args.points)
     bmat = basis_matrix(basis, grid)

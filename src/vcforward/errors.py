@@ -33,12 +33,5 @@ class SingularDesignError(NumericalError):
         self.covariate_index = covariate_index
 
 
-class DegenerateCandidateError(Exception):
-    """Candidate block is (numerically) collinear with the current model.
-
-    Control-flow signal: the selector skips the candidate.
-    """
-
-
 class NoCandidateError(Exception):
     """Every candidate in the pool is degenerate; selection cannot proceed."""

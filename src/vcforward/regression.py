@@ -4,10 +4,10 @@ The projection cache factors the current model's design as W = QR, growing
 Q and R by one block at a time. Full fits solve R gamma = Q^T y on that
 factor. A whole candidate pool is scored by one batched sweep: one small
 (dim x dim) Cholesky per candidate, of its Gram with the model span
-projected out (``CandidateGrams``), instead of a full refit. One candidate
-is scored exactly on the factor extension itself (``extension_terms``).
-One rank rule decides usability on both routes. It keeps R's diagonal
-nonzero, so the LU in np.linalg.solve on R or a diagonal block of it (upper
+projected out (``CandidateGrams``), instead of a full refit. The forward
+pass re-scores its short-listed candidates exactly on the factor extension
+itself (``extension_terms``). One rank rule decides usability on both. It
+keeps R's diagonal nonzero, so the LU in np.linalg.solve on R (upper
 triangular) takes no row swaps: a triangular solve that never raises.
 """
 
@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateCandidateError,
-    OverparameterizedError,
-    SingularDesignError,
-)
+from .errors import OverparameterizedError, SingularDesignError
 from .splines import DesignBlock, SplineBasis, basis_matrix
 
 # Relative tolerance on squared factorization pivots below which a design is
@@ -170,9 +166,9 @@ def extension_terms(cache: ProjectionCache, matrix: np.ndarray) -> tuple[np.ndar
 
     z = Qn^T r for the new orthonormal columns Qn and the model's residual
     r, and rn is the new diagonal block of R. The block with the model span
-    projected out is Qn rn, so its variance drop is z.z / n, its cross
-    product with r is rn^T z and its coefficients are rn^-1 z. Raises
-    SingularDesignError when the block fails the rank rule.
+    projected out is Qn rn, so its variance drop is z.z / n and its cross
+    product with r is rn^T z. Raises SingularDesignError when the block
+    fails the rank rule.
     """
     q, r = _append_orthonormal(cache.q, cache.r, matrix)
     d = matrix.shape[1]
@@ -268,23 +264,6 @@ def sweep(grams: CandidateGrams) -> np.ndarray:
         chol[j + 1 :, j] = below / pivot
         z[j] = (grams.u[j] - np.einsum("lk,lk->k", row, z[:j])) / pivot
     return np.where(usable, np.einsum("lk,lk->k", z, z) / grams.x.shape[0], -np.inf)
-
-
-def rss_reduction(cache: ProjectionCache, block: DesignBlock) -> tuple[float, np.ndarray]:
-    """Variance drop from adding ``block`` to the cached model.
-
-    Returns (delta, gamma) with delta = sigma_sq(S) - sigma_sq(S + block)
-    >= 0 and gamma the fitted spline coefficients of the candidate in the
-    extended model. Raises DegenerateCandidateError when the block fails
-    the rank rule.
-    """
-    try:
-        z, rn = extension_terms(cache, block.matrix)
-    except SingularDesignError:
-        raise DegenerateCandidateError(
-            f"candidate {block.covariate_index} is collinear with the model"
-        ) from None
-    return float(z @ z) / cache.n, np.linalg.solve(rn, z)
 
 
 def predict_response(

@@ -48,11 +48,11 @@ def build_selection_report(
     final_names,
     curves: dict[str, list[float]],
     grid: np.ndarray,
-    metrics: dict | None = None,
     warnings: list[str] | None = None,
     timestamp: str | None = None,
 ) -> dict:
-    """Assemble the selection report with a stable key order."""
+    """Assemble the selection report with a stable key order; ``"metrics"``
+    is always null, as real data has no truth to score a selection against."""
     report: dict = {"schema": SCHEMA_VERSION}
     if timestamp is not None:
         report["generated_at"] = timestamp
@@ -81,7 +81,7 @@ def build_selection_report(
     report["sigma_sq_path"] = [_json_safe(v) for v in trace.sigma_sq_path]
     report["ebic_path"] = [_json_safe(v) for v in trace.ebic_path]
     report["curves"] = {GRID_NAME: [float(v) for v in grid], **curves}
-    report["metrics"] = metrics
+    report["metrics"] = None
     report["warnings"] = list(warnings or [])
     return report
 

@@ -1,11 +1,14 @@
 """Greedy forward selection with an EBIC/BIC stopping rule.
 
-Each step scores every remaining candidate by the drop in the variance
-estimate when its spline block is added to the current model, accepts the
-best one, and tracks the information criterion. Selection keeps going until
-the criterion has increased for ``patience`` consecutive accepted steps
-(small fluctuations are tolerated), then rolls back to the prefix with the
-smallest criterion value seen.
+``run_forward`` is the one route from a candidate pool to an accepted
+covariate. Each step scores every remaining candidate by the drop in the
+variance estimate when its spline block is added to the current model (one
+sweep over the candidates' downdated Grams, with the best scores confirmed
+on their factor extensions), accepts the best one, and tracks the
+information criterion. Selection keeps going until the criterion has
+increased for ``patience`` consecutive accepted steps (small fluctuations
+are tolerated), then rolls back to the prefix with the smallest criterion
+value seen.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .regression import (
     build_projection_cache,
     extend_cache,
     extension_terms,
-    rss_reduction,
     sweep,
 )
 from .splines import DesignBlock, SplineBasis, basis_matrix
@@ -197,32 +199,6 @@ def _confirmed_winner(
             exact[pos] = _exact_score(cache, grams.block(pos), criterion)
         checked[todo] = True
     return _argbest(exact)
-
-
-def select_candidate(
-    cache: ProjectionCache,
-    candidate_pool,
-    criterion: str = "argmin_sigma",
-):
-    """Choose the best candidate block from the pool.
-
-    Under "argmin_sigma" the winner maximizes the variance reduction
-    (equivalently minimizes the extended model's variance estimate); under
-    "argmax_corr" the norm of its cross product with the model's residual.
-    Each candidate is scored on its factor extension; ties resolve to the
-    smallest covariate index, degenerate candidates are skipped, and
-    NoCandidateError is raised when nothing usable remains.
-
-    Returns (covariate_index, delta, gamma) for the winner.
-    """
-    if criterion not in CRITERIA:
-        raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
-    blocks = sorted(candidate_pool, key=lambda b: b.covariate_index)
-    if not blocks:
-        raise NoCandidateError("candidate pool is empty")
-    pos = _argbest(np.array([_exact_score(cache, b.matrix, criterion) for b in blocks]))
-    delta, gamma = rss_reduction(cache, blocks[pos])
-    return int(blocks[pos].covariate_index), delta, gamma
 
 
 def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:

@@ -8,13 +8,13 @@ suite is reproducible.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import vcforward as vf
 from vcforward.cli import main as cli_main
-from vcforward.errors import DegenerateCandidateError
 
 from oracles import lstsq_sigma_sq
 
@@ -136,7 +136,11 @@ def test_criterion_5_generator_fidelity():
 
 
 def test_criterion_6_oracle_equivalence_suite():
+    # Every variance drop and first step comes from the forward pass itself,
+    # one step from the given model: a one-member pool scores a candidate,
+    # the full pool picks the step's winner.
     rng = np.random.default_rng(2024)
+    one_step = vf.EbicConfig(max_steps=1)
     checked = 0
     for _ in range(100):
         n = int(rng.integers(40, 101))
@@ -156,30 +160,32 @@ def test_criterion_6_oracle_equivalence_suite():
         ]
         if (len(current) + 1) * dim > n:
             current = [0]
+        ds = vf.from_arrays(y, t, x[:, 1:])
         blocks = {
             j: vf.design_block(basis, t, x[:, j], covariate_index=j)
             for j in range(p + 1)
         }
-        cache = vf.build_projection_cache([blocks[j] for j in current], y)
         sigma_s = lstsq_sigma_sq([blocks[j] for j in current], y)
         pool = [j for j in range(1, p + 1) if j not in current]
         sigmas = {}
         for l in pool:
             sigma_sl = lstsq_sigma_sq([blocks[j] for j in current] + [blocks[l]], y)
             sigmas[l] = sigma_sl
-            try:
-                delta, _ = vf.rss_reduction(cache, blocks[l])
-            except DegenerateCandidateError:
+            steps = vf.run_forward(
+                ds, basis, one_step, initial_set=current, candidate_pool=[l]
+            ).steps
+            if not steps:  # degenerate under the rank rule
                 continue
+            delta = steps[0].delta_rss
             want = sigma_s - sigma_sl
             assert delta == pytest.approx(want, rel=1e-8, abs=1e-12), (
-                f"rss_reduction mismatch: candidate {l}, delta={delta!r}, "
+                f"variance drop mismatch: candidate {l}, delta={delta!r}, "
                 f"refit difference={want!r}"
             )
             checked += 1
         j_brute = min(sigmas, key=lambda l: (sigmas[l], l))
-        j_fast, _, _ = vf.select_candidate(cache, [blocks[l] for l in pool])
-        assert j_fast == j_brute
+        trace = vf.run_forward(ds, basis, one_step, initial_set=current, candidate_pool=pool)
+        assert trace.steps[0].index == j_brute
     _report(6, True, f"100 instances, {checked} candidate deltas vs full refits at 1e-8")
 
 
@@ -216,22 +222,24 @@ def test_criterion_7_numerical_properties():
         )
     )
 
-    # Scale equivariance: argmin invariant, sigma scales by c^2.
+    # Scale equivariance of the first forward step: argmin invariant, sigma
+    # and its drop scale by c^2.
     scenario = vf.SimScenario("ex1", n=240, p=40, t1=2.0, t2=0.0, seed=11, reps=1)
     train, _, _ = vf.generate(scenario, 0)
     basis = vf.build_basis(6, 4)
-    bmat = vf.basis_matrix(basis, train.t)
-    blocks = {j: vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in range(train.p + 1)}
-    pool = [blocks[j] for j in range(1, train.p + 1)]
+    one_step = vf.EbicConfig(max_steps=1)
+    pool = range(1, train.p + 1)
     ok_scale = True
-    base_cache = vf.build_projection_cache([blocks[0]], train.y)
-    j_base, d_base, _ = vf.select_candidate(base_cache, pool)
+    base = vf.run_forward(train, basis, one_step, candidate_pool=pool)
     for c in (0.1, 10.0):
-        cache_c = vf.build_projection_cache([blocks[0]], c * train.y)
-        j_c, d_c, _ = vf.select_candidate(cache_c, pool)
-        ok_scale &= j_c == j_base
-        ok_scale &= abs(cache_c.sigma_sq - c**2 * base_cache.sigma_sq) <= 1e-9 * cache_c.sigma_sq
-        ok_scale &= abs(d_c - c**2 * d_base) <= 1e-7 * max(d_c, 1e-30)
+        scaled = vf.run_forward(
+            replace(train, y=c * train.y), basis, one_step, candidate_pool=pool
+        )
+        ok_scale &= scaled.steps[0].index == base.steps[0].index
+        sigma_c = scaled.sigma_sq_initial
+        ok_scale &= abs(sigma_c - c**2 * base.sigma_sq_initial) <= 1e-9 * sigma_c
+        d_c = scaled.steps[0].delta_rss
+        ok_scale &= abs(d_c - c**2 * base.steps[0].delta_rss) <= 1e-7 * max(d_c, 1e-30)
 
     ok = ok_pou and ok_orth and ok_mono and ok_bic and ok_scale
     _report(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import vcforward as vf
+from vcforward import cli
 from vcforward.cli import main
 
 from oracles import lstsq_sigma_sq
@@ -331,6 +332,16 @@ def test_simulate_requires_example(capsys):
     assert "example" in capsys.readouterr().err
 
 
+def test_simulate_rejects_snr_samples_before_any_rep(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_rep_task", calls.append)
+    out = tmp_path / "agg.json"
+    args = ["simulate", "--example", "ex1", "--reps", "20", "--snr-samples", "5"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_simulate_worker_counts_agree(tmp_path):
     outs = []
     for workers, tag in ((1, "a"), (2, "b")):
@@ -361,8 +372,10 @@ def test_basis_check_reports_diagnostics(capsys):
 
 
 def test_basis_check_invalid_config(capsys):
-    assert main(["basis-check", "--L", "3", "--order", "4"]) == 1
-    assert "usage error" in capsys.readouterr().err
+    for flags in (["--L", "3", "--order", "4"], ["--points", "0"], ["--points", "-5"]):
+        assert main(["basis-check", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage error: ")
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -424,7 +424,6 @@ def test_report_round_trip_and_key_layout(tmp_path):
         final_names=[ds.column_names[j] for j in trace.final_set],
         curves=curves,
         grid=grid,
-        metrics=None,
         warnings=[],
         timestamp=None,
     )

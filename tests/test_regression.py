@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 import vcforward as vf
-from vcforward.errors import (
-    DegenerateCandidateError,
-    NoCandidateError,
-    OverparameterizedError,
-    SingularDesignError,
-)
+from vcforward.errors import OverparameterizedError, SingularDesignError
 
 from oracles import dense_projector, lstsq_gamma, lstsq_sigma_sq, normal_equations_sigma_sq
+
+# One forward step from a given model: how the shipped route scores a pool.
+ONE_STEP = vf.EbicConfig(max_steps=1)
 
 
 def _blocks(basis, t, x, indices):
@@ -142,24 +140,26 @@ def test_extend_cache_equals_rebuild():
     np.testing.assert_allclose(grown.residual_y, rebuilt.residual_y, atol=1e-10)
 
 
-def test_rss_reduction_duplicate_block_is_degenerate():
+def test_duplicate_block_is_degenerate():
     basis, t, x, y = _instance(11)
+    ds = vf.from_arrays(y, t, np.column_stack([x[:, 1], x[:, 1]]))
+    trace = vf.run_forward(ds, basis, ONE_STEP, initial_set=(1,), candidate_pool=[2])
+    assert trace.steps == () and trace.stop_reason == "candidates_exhausted"
     block = _blocks(basis, t, x, [1])[0]
     cache = vf.build_projection_cache([block], y)
-    with pytest.raises(DegenerateCandidateError):
-        vf.rss_reduction(cache, vf.DesignBlock(2, block.matrix.copy()))
+    with pytest.raises(SingularDesignError):
+        vf.extend_cache(cache, vf.DesignBlock(2, block.matrix.copy()))
 
 
-def test_rss_reduction_zero_when_y_explained():
+def test_variance_drop_zero_when_y_explained():
     basis, t, x, _ = _instance(12)
-    blocks = _blocks(basis, t, x, [0, 1])
-    y = blocks[0].matrix @ np.ones(basis.dim)  # y inside the span of block 0
-    cache = vf.build_projection_cache(blocks[:1], y)
-    delta, _ = vf.rss_reduction(cache, blocks[1])
-    assert 0.0 <= delta <= 1e-12
+    y = _blocks(basis, t, x, [0])[0].matrix @ np.ones(basis.dim)  # y inside the span of block 0
+    ds = vf.from_arrays(y, t, x[:, 1:])
+    trace = vf.run_forward(ds, basis, ONE_STEP, candidate_pool=[1])
+    assert 0.0 <= trace.steps[0].delta_rss <= 1e-12
 
 
-def test_rss_reduction_matches_two_full_fits():
+def test_variance_drop_matches_two_full_fits():
     rng = np.random.default_rng(13)
     basis = vf.build_basis(5, 3)
     n, p = 80, 10
@@ -168,32 +168,30 @@ def test_rss_reduction_matches_two_full_fits():
     y = rng.standard_normal(n) + x[:, 3] * (1.0 + t) ** 2
     current = [0, 3]
     blocks = _blocks(basis, t, x, current)
-    cache = vf.build_projection_cache(blocks, y)
+    ds = vf.from_arrays(y, t, x[:, 1:])
     sigma_s = vf.fit_full(vf.build_projection_cache(blocks, y), y).sigma_sq
     for l in range(1, p + 1):
         if l in current:
             continue
+        trace = vf.run_forward(ds, basis, ONE_STEP, initial_set=current, candidate_pool=[l])
         cand = vf.design_block(basis, t, x[:, l], covariate_index=l)
-        delta, gamma = vf.rss_reduction(cache, cand)
         sigma_sl = vf.fit_full(vf.build_projection_cache(blocks + [cand], y), y).sigma_sq
-        assert delta == pytest.approx(sigma_s - sigma_sl, rel=1e-8, abs=1e-12)
-        assert gamma.shape == (basis.dim,)
+        assert trace.steps[0].delta_rss == pytest.approx(sigma_s - sigma_sl, rel=1e-8, abs=1e-12)
 
 
-def test_rss_reduction_gamma_matches_full_fit_coefficients():
+def test_extended_cache_coefficients_match_full_fit():
     basis, t, x, y = _instance(14, n=70)
     blocks = _blocks(basis, t, x, [0, 1])
     cache = vf.build_projection_cache(blocks, y)
     cand = _blocks(basis, t, x, [4])[0]
-    _, gamma = vf.rss_reduction(cache, cand)
+    gamma = vf.fit_full(vf.extend_cache(cache, cand), y).gamma
     full = vf.fit_full(vf.build_projection_cache(blocks + [cand], y), y)
-    np.testing.assert_allclose(gamma, full.gamma[2 * basis.dim :], atol=1e-9)
+    np.testing.assert_allclose(gamma[2 * basis.dim :], full.gamma[2 * basis.dim :], atol=1e-9)
 
 
 def test_argmax_corr_picks_dense_projector_argmax():
     basis, t, x, y = _instance(16, n=50)
     blocks = _blocks(basis, t, x, [0, 1])
-    cache = vf.build_projection_cache(blocks, y)
     proj = dense_projector(np.hstack([b.matrix for b in blocks]))
     yt = y - proj @ y
     pool = _blocks(basis, t, x, [2, 3, 4, 5, 6])
@@ -202,10 +200,13 @@ def test_argmax_corr_picks_dense_projector_argmax():
         for b in pool
     }
     want = max(corr, key=lambda j: (corr[j], -j))
-    # A zero block is degenerate and never wins.
-    zero = vf.DesignBlock(7, np.zeros_like(pool[0].matrix))
-    j, _, _ = vf.select_candidate(cache, pool + [zero], criterion="argmax_corr")
-    assert j == want
+    # Covariate 7 is all zeros: its block is degenerate and never wins.
+    ds = vf.from_arrays(y, t, np.column_stack([x[:, 1:], np.zeros(len(t))]))
+    full, alone = (
+        vf.run_forward(ds, basis, ONE_STEP, (0, 1), candidate_pool=pool, criterion="argmax_corr")
+        for pool in ([2, 3, 4, 5, 6, 7], [7])
+    )
+    assert full.steps[0].index == want and alone.steps == ()
 
 
 def test_rank_rule_agrees_across_kernel_and_cache():
@@ -222,16 +223,10 @@ def test_rank_rule_agrees_across_kernel_and_cache():
         forward = vf.run_forward(ds, basis, config, initial_set=(0, 1), candidate_pool=[twin])
         ranked = vf.marginal_rank_screen(ds, basis, ds.p)
         if usable:
-            delta, _ = vf.rss_reduction(cache, cand)
-            assert delta >= 0.0
-            assert vf.select_candidate(cache, [cand])[0] == 2
             assert vf.extend_cache(cache, cand).index_set == (0, 1, 2)
             assert [s.index for s in forward.steps] == [twin]
+            assert forward.steps[0].delta_rss >= 0.0
         else:
-            with pytest.raises(DegenerateCandidateError):
-                vf.rss_reduction(cache, cand)
-            with pytest.raises(NoCandidateError):
-                vf.select_candidate(cache, [cand])
             with pytest.raises(SingularDesignError):
                 vf.extend_cache(cache, cand)
             assert forward.steps == () and forward.stop_reason == "candidates_exhausted"
@@ -243,8 +238,9 @@ def test_rank_rule_agrees_across_kernel_and_cache():
         drops = {}
         for j in range(1, ds.p + 1):
             try:
-                drops[j] = vf.rss_reduction(start, _blocks(basis, t, ds.x, [j])[0])[0]
-            except DegenerateCandidateError:
+                extended = vf.extend_cache(start, _blocks(basis, t, ds.x, [j])[0])
+                drops[j] = start.sigma_sq - extended.sigma_sq
+            except SingularDesignError:
                 drops[j] = -np.inf
         assert ranked == sorted(drops, key=lambda j: (-drops[j], j))
         assert np.isfinite(drops[intercept_twin]) == usable
@@ -325,12 +321,11 @@ def test_coefficient_curve_missing_covariate():
 def test_scale_equivariance_of_sigma_and_argmin():
     basis, t, x, y = _instance(20, n=90, p=8)
     blocks = _blocks(basis, t, x, [0])
+    first = vf.run_forward(vf.from_arrays(y, t, x[:, 1:]), basis, ONE_STEP).steps[0]
     for c in (0.1, 10.0):
         cache = vf.build_projection_cache(blocks, y)
         cache_c = vf.build_projection_cache(blocks, c * y)
         assert cache_c.sigma_sq == pytest.approx(c**2 * cache.sigma_sq, rel=1e-12)
-        pool = [_blocks(basis, t, x, [j])[0] for j in range(1, 9)]
-        j1, d1, _ = vf.select_candidate(cache, pool)
-        j2, d2, _ = vf.select_candidate(cache_c, pool)
-        assert j1 == j2
-        assert d2 == pytest.approx(c**2 * d1, rel=1e-9)
+        first_c = vf.run_forward(vf.from_arrays(c * y, t, x[:, 1:]), basis, ONE_STEP).steps[0]
+        assert first_c.index == first.index
+        assert first_c.delta_rss == pytest.approx(c**2 * first.delta_rss, rel=1e-9)

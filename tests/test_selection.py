@@ -8,10 +8,13 @@ import pytest
 
 import vcforward as vf
 from vcforward import selection
-from vcforward.errors import ConfigError, NoCandidateError, NumericalError
+from vcforward.errors import ConfigError, NoCandidateError, NumericalError, SingularDesignError
 from vcforward.regression import CandidateGrams
 
 from oracles import lstsq_sigma_sq, residual_pivot_ratio
+
+# One forward step from a given model: how the shipped route scores a pool.
+ONE_STEP = vf.EbicConfig(max_steps=1)
 
 
 def _noise_dataset(seed, n=200, p=20):
@@ -79,63 +82,51 @@ def test_config_validation(kwargs):
         vf.EbicConfig(**kwargs)
 
 
-def test_select_candidate_single_member_pool():
+def test_one_step_from_a_single_member_pool():
     rng = np.random.default_rng(22)
     basis = vf.build_basis(5, 3)
     t = rng.random(50)
     y = rng.standard_normal(50)
-    cache = vf.build_projection_cache(
-        [vf.design_block(basis, t, np.ones(50), covariate_index=0)], y
-    )
-    only = vf.design_block(basis, t, rng.standard_normal(50), covariate_index=9)
-    j, delta, gamma = vf.select_candidate(cache, [only])
-    assert j == 9 and delta >= 0.0 and gamma.shape == (5,)
+    ds = vf.from_arrays(y, t, rng.standard_normal((50, 9)))
+    trace = vf.run_forward(ds, basis, ONE_STEP, candidate_pool=[9])
+    assert [s.index for s in trace.steps] == [9] and trace.steps[0].delta_rss >= 0.0
 
 
-def test_select_candidate_empty_and_all_degenerate():
+def test_one_step_from_an_empty_or_all_degenerate_pool():
     rng = np.random.default_rng(23)
     basis = vf.build_basis(5, 3)
     t = rng.random(40)
     y = rng.standard_normal(40)
-    block0 = vf.design_block(basis, t, np.ones(40), covariate_index=0)
-    cache = vf.build_projection_cache([block0], y)
-    with pytest.raises(NoCandidateError):
-        vf.select_candidate(cache, [])
-    dup = vf.DesignBlock(5, block0.matrix.copy())
-    with pytest.raises(NoCandidateError):
-        vf.select_candidate(cache, [dup])
+    # Column 5 repeats the intercept, so its block duplicates the model's.
+    x = rng.standard_normal((40, 5))
+    x[:, 4] = 1.0
+    ds = vf.from_arrays(y, t, x)
+    for pool in ([], [5]):
+        trace = vf.run_forward(ds, basis, ONE_STEP, candidate_pool=pool)
+        assert trace.steps == () and trace.stop_reason == "candidates_exhausted"
 
 
-def test_select_candidate_tie_break_prefers_small_index():
+def test_one_step_tie_break_prefers_small_index():
     rng = np.random.default_rng(24)
     basis = vf.build_basis(5, 3)
     t = rng.random(60)
     y = rng.standard_normal(60) + rng.standard_normal(60)
-    cache = vf.build_projection_cache(
-        [vf.design_block(basis, t, np.ones(60), covariate_index=0)], y
-    )
-    col = rng.standard_normal(60)
-    twin_a = vf.design_block(basis, t, col, covariate_index=4)
-    twin_b = vf.design_block(basis, t, col, covariate_index=7)
-    for pool in ([twin_a, twin_b], [twin_b, twin_a]):
-        j, _, _ = vf.select_candidate(cache, pool)
-        assert j == 4
+    x = rng.standard_normal((60, 8))
+    x[:, 6] = x[:, 3]  # covariates 4 and 7 are twins
+    ds = vf.from_arrays(y, t, x)
+    for pool in ([4, 7], [7, 4]):
+        trace = vf.run_forward(ds, basis, ONE_STEP, candidate_pool=pool)
+        assert trace.steps[0].index == 4
 
 
 def test_first_step_on_benchmark_picks_a_true_covariate():
     sc = vf.SimScenario("ex1", n=400, p=1000, t1=0.0, t2=0.0, seed=101, reps=1)
     train, _, support = vf.generate(sc, 0)
-    basis = vf.build_basis(7, 4)
-    bmat = vf.basis_matrix(basis, train.t)
-    cache = vf.build_projection_cache(
-        [vf.DesignBlock(0, bmat)], train.y
-    )
-    pool = [vf.DesignBlock(j, bmat * train.x[:, j : j + 1]) for j in range(1, 1001)]
-    j, _, _ = vf.select_candidate(cache, pool)
-    assert j in support
+    trace = vf.run_forward(train, vf.build_basis(7, 4), ONE_STEP, candidate_pool=range(1, 1001))
+    assert trace.steps[0].index in support
 
 
-def test_select_candidate_agrees_with_brute_force_refits():
+def test_first_step_agrees_with_brute_force_refits():
     rng = np.random.default_rng(25)
     basis = vf.build_basis(4, 3)
     for _ in range(15):
@@ -145,15 +136,14 @@ def test_select_candidate_agrees_with_brute_force_refits():
         x = np.column_stack([np.ones(n), rng.standard_normal((n, p))])
         y = rng.standard_normal(n) + x[:, 1] * (2.0 - t)
         blocks = {j: vf.design_block(basis, t, x[:, j], covariate_index=j) for j in range(p + 1)}
-        cache = vf.build_projection_cache([blocks[0]], y)
-        pool = [blocks[j] for j in range(1, p + 1)]
-        j_fast, _, _ = vf.select_candidate(cache, pool)
+        ds = vf.from_arrays(y, t, x[:, 1:])
+        trace = vf.run_forward(ds, basis, ONE_STEP, candidate_pool=range(1, p + 1))
         sigmas = {
             j: vf.build_projection_cache([blocks[0], blocks[j]], y).sigma_sq
             for j in range(1, p + 1)
         }
         j_brute = min(sigmas, key=lambda j: (sigmas[j], j))
-        assert j_fast == j_brute
+        assert trace.steps[0].index == j_brute
 
 
 def _adversarial_instance(rng):
@@ -231,10 +221,15 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
     bmat = vf.basis_matrix(basis, t)
     cache = vf.build_projection_cache([vf.DesignBlock(0, bmat), vf.DesignBlock(1, bmat * x[:, :1])], y)
     grams = CandidateGrams(bmat, x[:, 1:], cache.q, cache.residual_y)
-    want, _, _ = vf.select_candidate(
-        cache, [vf.DesignBlock(j, bmat * x[:, j - 1 : j]) for j in (2, 3, 4)]
-    )
-    assert want == 3
+    # The explicit reference: each candidate's drop on its extended factor.
+    drops = {}
+    for j in (2, 3, 4):
+        try:
+            extended = vf.extend_cache(cache, vf.DesignBlock(j, bmat * x[:, j - 1 : j]))
+            drops[j] = cache.sigma_sq - extended.sigma_sq
+        except SingularDesignError:
+            drops[j] = -np.inf
+    assert max(drops, key=drops.get) == 3
     alive = np.ones(3, dtype=bool)
     for scores in ([1e9, 1.0, 2.0], [1e9, 2.0, 2.0 * (1.0 + 1e-7)], [np.inf, 0.5, 0.0]):
         pos = selection._confirmed_winner(cache, grams, np.array(scores), alive, "argmin_sigma")
