@@ -40,6 +40,7 @@ from .simulation import (
     aggregate,
     evaluate_rep,
     generate,
+    held_out,
     robust_sd,
     run_rep,
     snr,
@@ -86,6 +87,7 @@ __all__ = [
     "fit_full",
     "from_arrays",
     "generate",
+    "held_out",
     "load_csv",
     "marginal_rank_screen",
     "predict_response",

@@ -245,7 +245,10 @@ def _read_scenario_file(path) -> dict:
 
 
 def _apply_settings(args, file_values: dict) -> None:
-    """Set every SETTINGS key on ``args``: its flag, else the scenario file, else its default."""
+    """Set every SETTINGS key on ``args``: its flag, else the scenario file, else its default.
+
+    Raises ConfigError for a negative resolved ``screen_k``, wherever it came from.
+    """
     for key, (cast, default) in SETTINGS.items():
         if getattr(args, key, None) is not None:
             continue
@@ -258,12 +261,17 @@ def _apply_settings(args, file_values: dict) -> None:
                     f"scenario key {key!r} has invalid value {file_values[key]!r}"
                 ) from None
         setattr(args, key, value)
+    # 0 is "off"; a value above p is rejected by the screen itself.
+    if args.screen_k < 0:
+        raise ConfigError(f"screen_k must be at least 0 (0 = off), got {args.screen_k}")
 
 
 def cmd_simulate(args) -> int:
     _apply_settings(args, _read_scenario_file(args.scenario) if args.scenario else {})
     if args.example is None:
         raise ConfigError("an example id is required (--example or scenario file)")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     scenario = SimScenario(
         example_id=args.example,
         n=args.n,

@@ -8,14 +8,18 @@ covariates, the second has eight.
 
 Randomness is stream-split: every (seed, rep_index, purpose) triple owns an
 independent generator, so repetitions are reproducible in any execution
-order. Purposes: 0 = training draw, 1 = test draw, 2 = signal-to-noise
-estimation.
+order. Purposes: 0 = training draw, 1 = held-out (test) draw, 2 =
+signal-to-noise estimation. A rep draws purpose 1 only after it has
+selected, refitted and released its training set, and keeps just the
+columns scoring reads (the intercept, the support and the final set), so
+its peak memory is one training design matrix; the kept values are those
+of the full held-out draw, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -136,41 +140,76 @@ def _column_names(p: int) -> tuple[str, ...]:
     return (INTERCEPT_NAME, *(f"x{j}" for j in range(1, p + 1)))
 
 
-def _draw(scenario: SimScenario, rng: np.random.Generator, size: int) -> Dataset:
+def _draw(
+    scenario: SimScenario, rng: np.random.Generator, size: int, columns=None
+) -> Dataset:
     # Draw order is fixed (u1, u2, z, eps) so streams are reproducible; z is
     # drawn in row blocks, which continue one stream, straight into the
-    # design matrix behind its intercept column.
+    # design matrix behind its intercept column. ``columns`` (increasing,
+    # from 0, holding the support) keeps only those columns of the full
+    # design; every draw is still made, so the kept values do not change.
     p = scenario.p
+    names, keep = _column_names(p), slice(None)
+    if columns is None:
+        columns = range(p + 1)
+    else:
+        names = tuple(names[j] for j in columns)
+        keep = np.asarray(columns[1:]) - 1
     u1 = rng.random(size)
     u2 = rng.random(size)
-    x = np.empty((size, p + 1))
+    x = np.empty((size, len(columns)))
     x[:, 0] = 1.0
     shift = scenario.t1 * u1
     rows = max(1, DRAW_BLOCK_CELLS // p)
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        z = rng.standard_normal((stop - start, p))
+        z = rng.standard_normal((stop - start, p))[:, keep]
         # x = (z + t1 u1) / (1 + t1), rounded as written.
         np.add(z, shift[start:stop, None], out=z)
         np.divide(z, 1.0 + scenario.t1, out=x[start:stop, 1:])
     y = rng.standard_normal(size)  # eps, to which the signal is added
     t = (u2 + scenario.t2 * u1) / (1.0 + scenario.t2)
     for j, coeff in EXAMPLE_COEFFS[scenario.example_id].items():
-        y += coeff(t) * x[:, j]
-    return Dataset(y=y, t=t, x=x, column_names=_column_names(p))
+        y += coeff(t) * x[:, columns.index(j)]
+    return Dataset(y=y, t=t, x=x, column_names=names)
 
 
-def generate(scenario: SimScenario, rep_index: int):
-    """Training and test datasets plus the true support for one repetition.
+def generate(scenario: SimScenario, rep_index: int) -> tuple[Dataset, tuple[int, ...]]:
+    """Training dataset and the true support of one repetition.
 
-    Deterministic in (scenario.seed, rep_index); the test set is an
-    independent draw from the same law of size n * test_fraction.
+    Deterministic in (scenario.seed, rep_index); ``held_out`` draws the
+    repetition's independent test set.
     """
     if rep_index < 0:
         raise ConfigError("rep_index must be nonnegative")
     train = _draw(scenario, _stream(scenario.seed, rep_index, _PURPOSE_TRAIN), scenario.n)
-    test = _draw(scenario, _stream(scenario.seed, rep_index, _PURPOSE_TEST), scenario.test_size)
-    return train, test, scenario.support
+    return train, scenario.support
+
+
+def held_out(scenario: SimScenario, rep_index: int, columns) -> Dataset:
+    """Test set of one repetition, holding only ``columns`` of its design.
+
+    An independent draw from the training law of size n * test_fraction.
+    ``columns`` must increase from 0 (the intercept), stay within p and hold
+    the support, from which the response is built. Column k of the result's
+    x is column ``columns[k]`` of the full (test_size, p+1) test design, bit
+    for bit, whichever columns are kept.
+    """
+    if rep_index < 0:
+        raise ConfigError("rep_index must be nonnegative")
+    columns = tuple(int(j) for j in columns)
+    if (
+        columns != tuple(sorted(set(columns)))
+        or columns[:1] != (0,)
+        or columns[-1] > scenario.p
+        or not set(scenario.support) <= set(columns)
+    ):
+        raise ConfigError(
+            f"held-out columns must increase from 0 to at most p = {scenario.p} "
+            f"and hold the support {scenario.support}"
+        )
+    rng = _stream(scenario.seed, rep_index, _PURPOSE_TEST)
+    return _draw(scenario, rng, scenario.test_size, columns)
 
 
 def true_correlations(t1: float, t2: float) -> tuple[float, float]:
@@ -208,14 +247,20 @@ def evaluate_rep(
     fit: FitResult,
     basis: SplineBasis,
     test: Dataset,
+    columns=None,
 ) -> RepMetrics:
     """Score a fitted selection against the truth on held-out data.
 
     True/false positives ignore the intercept; the prediction error is the
-    mean squared prediction error on the test set.
+    mean squared prediction error on the test set. ``columns`` gives the
+    full-design column of each column of ``test.x`` when the test set holds
+    only some of them, as ``held_out`` draws it; None means all.
     """
     chosen = set(int(j) for j in selected_set) - {0}
     truth = set(int(j) for j in support)
+    if columns is not None:
+        position = {int(j): k for k, j in enumerate(columns)}
+        fit = replace(fit, index_set=tuple(position[j] for j in fit.index_set))
     yhat = predict_response(fit, basis, test.t, test.x)
     pe = float(np.mean((test.y - yhat) ** 2))
     return RepMetrics(
@@ -262,8 +307,12 @@ def run_rep(
     criterion: str = "argmin_sigma",
     screen_k: int = 0,
 ) -> tuple[RepMetrics, SelectionTrace]:
-    """Generate one repetition, select, refit and score it."""
-    train, test, support = generate(scenario, rep_index)
+    """Generate one repetition, select, refit and score it.
+
+    The training set is released before the test set is drawn, with only
+    the columns that scoring reads, so one design matrix is held at a time.
+    """
+    train, support = generate(scenario, rep_index)
     if train.n < 2 * basis.dim * (len(support) + 1):
         raise DataError(
             f"n = {train.n} is too small for {len(support)} active covariates "
@@ -279,7 +328,10 @@ def run_rep(
         criterion=criterion,
     )
     fit = fit_full(trace.final_cache, train.y)
-    metrics = evaluate_rep(trace.final_set, support, fit, basis, test)
+    del train
+    columns = tuple(sorted({0, *support, *trace.final_set}))
+    test = held_out(scenario, rep_index, columns)
+    metrics = evaluate_rep(trace.final_set, support, fit, basis, test, columns)
     return metrics, trace
 
 

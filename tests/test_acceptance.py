@@ -103,7 +103,7 @@ def test_criterion_5_generator_fidelity():
     worst = 0.0
     for t1, t2 in cells:
         scenario = vf.SimScenario("ex1", n=4000, p=8, t1=t1, t2=t2, seed=3, reps=1)
-        train, _, _ = vf.generate(scenario, 0)
+        train, _ = vf.generate(scenario, 0)
         xs = train.x[:, 1:]
         corr = np.corrcoef(xs, rowvar=False)
         emp_xx = float(corr[np.triu_indices(8, 1)].mean())
@@ -199,7 +199,7 @@ def test_criterion_7_numerical_properties():
     ok_orth, ok_mono = True, True
     for seed, (t1, t2) in [(3, (0.0, 0.0)), (5, (3.0, 1.0))]:
         scenario = vf.SimScenario("ex1", n=300, p=60, t1=t1, t2=t2, seed=seed, reps=1)
-        train, _, _ = vf.generate(scenario, 0)
+        train, _ = vf.generate(scenario, 0)
         basis = vf.build_basis(6, 4)
         trace = vf.run_forward(train, basis, FBIC)
         path = trace.sigma_sq_path
@@ -225,7 +225,7 @@ def test_criterion_7_numerical_properties():
     # Scale equivariance of the first forward step: argmin invariant, sigma
     # and its drop scale by c^2.
     scenario = vf.SimScenario("ex1", n=240, p=40, t1=2.0, t2=0.0, seed=11, reps=1)
-    train, _, _ = vf.generate(scenario, 0)
+    train, _ = vf.generate(scenario, 0)
     basis = vf.build_basis(6, 4)
     one_step = vf.EbicConfig(max_steps=1)
     pool = range(1, train.p + 1)

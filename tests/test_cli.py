@@ -342,6 +342,41 @@ def test_simulate_rejects_snr_samples_before_any_rep(tmp_path, monkeypatch, caps
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_workers_below_one_before_any_rep(
+    tmp_path, monkeypatch, capsys, workers
+):
+    calls = []
+    monkeypatch.setattr(cli, "_rep_task", calls.append)
+    out = tmp_path / "agg.json"
+    args = ["simulate", "--example", "ex1", "--p", "50", "--reps", "2", "--workers", workers]
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--workers" in err
+    assert calls == [] and not out.exists()
+
+
+def test_negative_screen_k_is_usage_error(tmp_path, monkeypatch, capsys):
+    # From a flag for either command, or from a scenario file; 0 stays off.
+    calls = []
+    monkeypatch.setattr(cli, "_rep_task", calls.append)
+    data = _noise_csv(tmp_path / "noise.csv")
+    scen = tmp_path / "scenario.txt"
+    scen.write_text("example=ex1\np=50\nreps=2\nscreen_k=-5\n", encoding="utf-8")
+    out = tmp_path / "out.json"
+    select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t"]
+    for args in (
+        select + ["--screen-k", "-5"],
+        ["simulate", "--example", "ex1", "--p", "50", "--reps", "2", "--screen-k", "-5"],
+        ["simulate", "--scenario", str(scen)],
+    ):
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "screen_k" in err and "-5" in err
+    assert calls == [] and not out.exists()
+    assert main(select + ["--L", "5", "--screen-k", "0", "--out", str(out)]) == 0
+
+
 def test_simulate_worker_counts_agree(tmp_path):
     outs = []
     for workers, tag in ((1, "a"), (2, "b")):

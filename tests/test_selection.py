@@ -121,7 +121,7 @@ def test_one_step_tie_break_prefers_small_index():
 
 def test_first_step_on_benchmark_picks_a_true_covariate():
     sc = vf.SimScenario("ex1", n=400, p=1000, t1=0.0, t2=0.0, seed=101, reps=1)
-    train, _, support = vf.generate(sc, 0)
+    train, support = vf.generate(sc, 0)
     trace = vf.run_forward(train, vf.build_basis(7, 4), ONE_STEP, candidate_pool=range(1, 1001))
     assert trace.steps[0].index in support
 
@@ -314,7 +314,7 @@ def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
 
     monkeypatch.setattr(CandidateGrams, "update", counting)
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
     for max_steps, stop, steps in ((None, "patience_exhausted", 13), (4, "max_steps", 4)):
         calls.clear()
@@ -342,7 +342,7 @@ def test_run_forward_sweeps_once_per_step_and_once_when_the_pool_runs_dry(monkey
         ds, _ = _adversarial_instance(rng)
         runs.append((ds, basis, range(1, ds.p + 1)))
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     runs.append((train, vf.build_basis(7, 4), None))
     dry = 0
     for ds, basis, pool in runs:
@@ -382,7 +382,7 @@ def test_run_forward_noise_final_set_is_intercept():
 
 def test_run_forward_benchmark_recovers_support():
     sc = vf.SimScenario("ex1", n=400, p=1000, t1=0.0, t2=0.0, seed=33, reps=1)
-    train, _, support = vf.generate(sc, 0)
+    train, support = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
     trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5))
     assert set(trace.final_set) == {0, *support}
@@ -391,7 +391,7 @@ def test_run_forward_benchmark_recovers_support():
 
 def test_run_forward_nesting_and_monotonicity():
     sc = vf.SimScenario("ex1", n=300, p=60, t1=2.0, t2=1.0, seed=5, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(6, 4)
     trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5))
     seen = set(trace.initial_set)
@@ -405,7 +405,7 @@ def test_run_forward_nesting_and_monotonicity():
 
 def test_run_forward_rollback_minimizes_ebic_over_prefixes():
     sc = vf.SimScenario("ex1", n=240, p=40, t1=3.0, t2=2.0, seed=8, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(6, 4)
     config = vf.EbicConfig(eta=0.0, patience=3)
     trace = vf.run_forward(train, basis, config)
@@ -425,7 +425,7 @@ def test_run_forward_rollback_minimizes_ebic_over_prefixes():
 
 def test_run_forward_deterministic():
     sc = vf.SimScenario("ex1", n=200, p=80, t1=2.0, t2=0.0, seed=17, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(5, 4)
     config = vf.EbicConfig(eta=0.0, patience=4)
     t1 = vf.run_forward(train, basis, config)
@@ -435,7 +435,7 @@ def test_run_forward_deterministic():
 
 def test_run_forward_respects_max_steps():
     sc = vf.SimScenario("ex1", n=300, p=30, t1=0.0, t2=0.0, seed=2, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(5, 4)
     trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5, max_steps=2))
     assert len(trace.steps) == 2
@@ -456,7 +456,7 @@ def test_run_forward_exhausts_small_pool():
 
 def test_run_forward_candidate_pool_restriction():
     sc = vf.SimScenario("ex1", n=300, p=50, t1=0.0, t2=0.0, seed=4, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(6, 4)
     pool = [2, 4, 11]
     trace = vf.run_forward(
@@ -501,7 +501,7 @@ def test_run_forward_empty_initial_set():
     # never enters, and the final set is exactly the support x1..x4,
     # accepted in the first four steps.
     sc = vf.SimScenario("ex1", n=300, p=30, t1=0.0, t2=0.0, seed=12, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(5, 4)
     for criterion in ("argmin_sigma", "argmax_corr"):
         trace = vf.run_forward(
@@ -530,7 +530,7 @@ def test_final_cache_is_the_factor_of_the_final_set(example):
     config = vf.EbicConfig(eta=0.0, patience=3)
     traces = []
     for rep in range(sc.reps):
-        train, _, _ = vf.generate(sc, rep)
+        train, _ = vf.generate(sc, rep)
         zero = vf.Dataset(np.zeros(train.n), train.t, train.x, train.column_names)
         for ds, initial in ((train, (0,)), (train, ()), (zero, (0,))):
             trace = vf.run_forward(ds, basis, config, initial_set=initial)
@@ -548,7 +548,7 @@ def test_final_cache_is_the_factor_of_the_final_set(example):
 
 def test_febic_selects_smaller_model_than_fbic_under_correlation():
     sc = vf.SimScenario("ex1", n=400, p=1000, t1=3.0, t2=2.0, seed=44, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
     size_b = len(vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5)).final_set)
     size_e = len(vf.run_forward(train, basis, vf.EbicConfig(eta_rule="auto", patience=5)).final_set)
@@ -614,7 +614,7 @@ def test_marginal_screen_retains_benchmark_support():
     hits = 0
     for seed in range(50):
         sc = vf.SimScenario("ex1", n=400, p=1000, t1=0.0, t2=0.0, seed=200 + seed, reps=1)
-        train, _, support = vf.generate(sc, 0)
+        train, support = vf.generate(sc, 0)
         kept = vf.marginal_rank_screen(train, basis, 50)
         if set(support) <= set(kept):
             hits += 1
@@ -623,7 +623,7 @@ def test_marginal_screen_retains_benchmark_support():
 
 def test_run_forward_with_screen_matches_restricted_pool():
     sc = vf.SimScenario("ex1", n=300, p=120, t1=0.0, t2=0.0, seed=21, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(6, 4)
     kept = vf.marginal_rank_screen(train, basis, 20)
     trace = vf.run_forward(
@@ -634,7 +634,7 @@ def test_run_forward_with_screen_matches_restricted_pool():
 
 def test_argmax_corr_criterion_runs_and_differs_sensibly():
     sc = vf.SimScenario("ex1", n=300, p=60, t1=0.0, t2=0.0, seed=31, reps=1)
-    train, _, support = vf.generate(sc, 0)
+    train, support = vf.generate(sc, 0)
     basis = vf.build_basis(6, 4)
     trace = vf.run_forward(
         train, basis, vf.EbicConfig(eta=0.0, patience=5), criterion="argmax_corr"

@@ -21,6 +21,12 @@ def _refit(train, basis, sel):
     return vf.fit_full(vf.build_projection_cache(blocks, train.y), train.y)
 
 
+def _train_and_test(sc, rep):
+    """A repetition's training set, support and full held-out set."""
+    train, support = vf.generate(sc, rep)
+    return train, vf.held_out(sc, rep, range(sc.p + 1)), support
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigError):
         vf.SimScenario("ex3")
@@ -45,15 +51,15 @@ def test_true_correlations_closed_forms():
 
 def test_generate_reproducible_and_split():
     sc = vf.SimScenario("ex1", n=120, p=10, t1=2.0, t2=1.0, seed=77, reps=1)
-    a_train, a_test, support = vf.generate(sc, 3)
-    b_train, b_test, _ = vf.generate(sc, 3)
+    a_train, a_test, support = _train_and_test(sc, 3)
+    b_train, b_test, _ = _train_and_test(sc, 3)
     np.testing.assert_array_equal(a_train.y, b_train.y)
     np.testing.assert_array_equal(a_train.x, b_train.x)
     np.testing.assert_array_equal(a_test.y, b_test.y)
     assert a_train.n == 120 and a_test.n == 60
     assert support == (1, 2, 3, 4)
     # Different repetitions and the train/test streams must differ.
-    c_train, _, _ = vf.generate(sc, 4)
+    c_train, _ = vf.generate(sc, 4)
     assert not np.array_equal(a_train.y, c_train.y)
     assert not np.array_equal(a_train.y[: a_test.n], a_test.y)
 
@@ -62,23 +68,40 @@ def test_generate_reproducible_and_split():
 @pytest.mark.parametrize("t1,t2", [(0.0, 0.0), (3.0, 1.0)])
 def test_generate_matches_the_oracle_draw_bit_for_bit(example, t1, t2, monkeypatch):
     sc = vf.SimScenario(example, n=60, p=25, t1=t1, t2=t2, seed=41, reps=3)
+    every = tuple(range(sc.p + 1))
+    # The support, one column between and the last one.
+    subset = (0, *sc.support, 13, sc.p)
     # One generator call fills the whole matrix, then seven-row blocks do:
     # eight full blocks and a partial one for the training draw, four and
     # a partial one for the test draw.
     for cells in (simulation.DRAW_BLOCK_CELLS, 7 * sc.p):
         monkeypatch.setattr(simulation, "DRAW_BLOCK_CELLS", cells)
         for rep in (0, 2):
-            train, test, _ = vf.generate(sc, rep)
-            for purpose, ds in ((0, train), (1, test)):
+            train, _ = vf.generate(sc, rep)
+            draws = [(0, train, every)] + [
+                (1, vf.held_out(sc, rep, columns), columns) for columns in (every, subset)
+            ]
+            for purpose, ds, columns in draws:
                 y, t, x, constant = benchmark_draw(
                     EXAMPLE_COEFFS[example], 41, rep, purpose, ds.n, sc.p, t1, t2
                 )
+                kept = [j - 1 for j in columns[1:]]
                 assert ds.y.tobytes() == y.tobytes()
                 assert ds.t.tobytes() == t.tobytes()
-                assert ds.x[:, 1:].tobytes() == x.tobytes()
+                assert ds.x[:, 1:].tobytes() == x[:, kept].tobytes()
                 assert ds.x[:, 0].tobytes() == np.ones(ds.n).tobytes()
                 assert ds.constant_columns == constant == ()
-                assert ds.column_names == ("intercept", *(f"x{j}" for j in range(1, 26)))
+                assert ds.column_names == ("intercept", *(f"x{j}" for j in columns[1:]))
+
+
+def test_held_out_rejects_columns_it_cannot_keep():
+    sc = vf.SimScenario("ex1", n=60, p=10, seed=41, reps=1)
+    bad = [(), (1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2, 3, 4, 11), (0, 2, 1, 3, 4), (0, 1, 1, 2, 3, 4)]
+    for columns in bad:
+        with pytest.raises(ConfigError):
+            vf.held_out(sc, 0, columns)
+    with pytest.raises(ConfigError):
+        vf.held_out(sc, -1, range(11))
 
 
 def test_generate_draws_straight_into_the_design_matrices():
@@ -87,7 +110,7 @@ def test_generate_draws_straight_into_the_design_matrices():
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
     tracemalloc.start()
     try:
-        train, test, _ = vf.generate(sc, 0)
+        train, test, _ = _train_and_test(sc, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -98,7 +121,7 @@ def test_generate_draws_straight_into_the_design_matrices():
 def test_generate_index_variable_in_unit_interval():
     for t1, t2 in [(0.0, 0.0), (3.0, 2.0)]:
         sc = vf.SimScenario("ex1", n=500, p=6, t1=t1, t2=t2, seed=5, reps=1)
-        train, test, _ = vf.generate(sc, 0)
+        train, test, _ = _train_and_test(sc, 0)
         for ds in (train, test):
             assert ds.t.min() >= 0.0 and ds.t.max() <= 1.0
             assert np.array_equal(ds.x[:, 0], np.ones(ds.n))
@@ -106,7 +129,7 @@ def test_generate_index_variable_in_unit_interval():
 
 def test_generator_moments_match_closed_forms():
     sc = vf.SimScenario("ex1", n=4000, p=8, t1=3.0, t2=1.0, seed=13, reps=1)
-    train, _, _ = vf.generate(sc, 0)
+    train, _ = vf.generate(sc, 0)
     xs = train.x[:, 1:]
     corr = np.corrcoef(xs, rowvar=False)
     emp_xx = corr[np.triu_indices(8, 1)].mean()
@@ -120,7 +143,7 @@ def test_signal_variance_recovered_at_scale():
     # Regressing on the true design at n = 4000 recovers the unit noise
     # variance.
     sc = vf.SimScenario("ex1", n=4000, p=6, t1=0.0, t2=0.0, seed=19, reps=1)
-    train, _, support = vf.generate(sc, 0)
+    train, support = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
     fit = _refit(train, basis, (0, *support))
     assert abs(fit.sigma_sq - 1.0) <= 0.1
@@ -147,7 +170,7 @@ def test_snr_matches_reported_values():
 
 def test_evaluate_rep_counts():
     sc = vf.SimScenario("ex1", n=200, p=10, seed=3, reps=1)
-    train, test, support = vf.generate(sc, 0)
+    train, test, support = _train_and_test(sc, 0)
     basis = vf.build_basis(5, 4)
     sel = (0, *support)
     fit = _refit(train, basis, sel)
@@ -163,7 +186,7 @@ def test_evaluate_rep_counts():
 
 def test_evaluate_rep_intercept_only_pe_near_response_variance():
     sc = vf.SimScenario("ex1", n=400, p=6, seed=9, reps=1)
-    train, test, support = vf.generate(sc, 0)
+    train, test, support = _train_and_test(sc, 0)
     basis = vf.build_basis(7, 4)
     fit = _refit(train, basis, (0,))
     m = vf.evaluate_rep((0,), support, fit, basis, test)
@@ -176,7 +199,7 @@ def test_oracle_fit_prediction_error_near_noise_floor():
     pes = []
     for r in range(20):
         sc = vf.SimScenario("ex1", n=400, p=6, seed=55, reps=20)
-        train, test, support = vf.generate(sc, r)
+        train, test, support = _train_and_test(sc, r)
         sel = (0, *support)
         fit = _refit(train, basis, sel)
         pes.append(vf.evaluate_rep(sel, support, fit, basis, test).pe)
@@ -185,7 +208,7 @@ def test_oracle_fit_prediction_error_near_noise_floor():
 
 def test_pe_invariant_to_test_ordering():
     sc = vf.SimScenario("ex1", n=200, p=6, seed=23, reps=1)
-    train, test, support = vf.generate(sc, 0)
+    train, test, support = _train_and_test(sc, 0)
     basis = vf.build_basis(6, 4)
     sel = (0, 1, 2)
     fit = _refit(train, basis, sel)
@@ -244,6 +267,59 @@ def test_run_rep_end_to_end_consistency():
     assert metrics.model_size == len(trace.final_set)
     assert metrics.tp + metrics.fp == metrics.model_size - 1
     assert metrics.pe > 0.0
+
+
+@pytest.mark.parametrize("example,t1,t2", [("ex1", 0.0, 0.0), ("ex2", 3.0, 1.0)])
+def test_run_rep_scores_on_the_kept_columns_exactly(example, t1, t2, monkeypatch):
+    # run_rep scores on a held-out set holding only the intercept, support
+    # and final set; scoring the same fit on an independent full draw gives
+    # the same metrics, pe with ==. BIC adds no null covariate here, so the
+    # last rep starts from one (column 150, listed before the support),
+    # which stays in its final set as a false positive.
+    sc = vf.SimScenario(example, n=400, p=200, t1=t1, t2=t2, seed=1, reps=5)
+    basis = vf.build_basis(7, 4)
+    config = vf.EbicConfig(eta=0.0, patience=5)
+    forward = simulation.run_forward
+    for rep in range(5):
+        if rep == 4:
+            monkeypatch.setattr(
+                simulation,
+                "run_forward",
+                lambda *a, **kw: forward(*a, **{**kw, "initial_set": (0, 150)}),
+            )
+        metrics, trace = vf.run_rep(sc, rep, basis, config)
+        train, support = vf.generate(sc, rep)
+        fit = vf.fit_full(trace.final_cache, train.y)
+        y, t, x, _ = benchmark_draw(
+            EXAMPLE_COEFFS[example], 1, rep, 1, sc.test_size, sc.p, t1, t2
+        )
+        yhat = vf.predict_response(fit, basis, t, np.column_stack([np.ones(y.size), x]))
+        chosen = set(trace.final_set) - {0}
+        assert metrics == vf.RepMetrics(
+            tp=len(chosen & set(support)),
+            fp=len(chosen - set(support)),
+            pe=float(np.mean((y - yhat) ** 2)),
+            model_size=len(trace.final_set),
+        )
+    assert 150 in trace.final_set and metrics.fp >= 1
+
+
+def test_run_rep_peak_memory_is_one_design_matrix():
+    # The test set is drawn after the training set is released, with only
+    # the columns scoring reads, so a rep's traced peak stays near the
+    # training design's bytes (1.37 times here; 1.87 with both sets held).
+    sc = vf.SimScenario("ex2", n=400, p=5000, t1=2.0, t2=1.0, seed=7, reps=2)
+    basis = vf.build_basis(7, 4)
+    config = vf.EbicConfig(eta=0.0, patience=5)
+    vf.run_rep(sc, 0, basis, config)  # warm-up: caches and lazy set-up
+    tracemalloc.start()
+    try:
+        vf.run_rep(sc, 1, basis, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    design = sc.n * (sc.p + 1) * 8
+    assert peak <= 1.5 * design, f"peak {peak / design:.2f} times the training design"
 
 
 def test_run_rep_guards_small_samples():
