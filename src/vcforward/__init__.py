@@ -10,7 +10,6 @@ from .data import Dataset, from_arrays, load_csv
 from .errors import (
     ConfigError,
     DataError,
-    NoCandidateError,
     NumericalError,
     OverparameterizedError,
     SingularDesignError,
@@ -64,7 +63,6 @@ __all__ = [
     "DesignBlock",
     "EbicConfig",
     "FitResult",
-    "NoCandidateError",
     "NumericalError",
     "OverparameterizedError",
     "ProjectionCache",

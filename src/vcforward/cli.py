@@ -296,7 +296,6 @@ def cmd_simulate(args) -> int:
             results = list(pool.map(_rep_task, tasks, chunksize=1))
     else:
         results = [_rep_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
 
     agg = aggregate([m for _, m, _, _ in results], snr_estimate=snr_estimate)
 

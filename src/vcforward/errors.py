@@ -31,7 +31,3 @@ class SingularDesignError(NumericalError):
     def __init__(self, message: str, covariate_index: int | None = None) -> None:
         super().__init__(message)
         self.covariate_index = covariate_index
-
-
-class NoCandidateError(Exception):
-    """Every candidate in the pool is degenerate; selection cannot proceed."""

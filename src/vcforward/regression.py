@@ -1,14 +1,13 @@
 """Least-squares machinery over blockwise spline designs.
 
-The projection cache factors the current model's design as W = QR, growing
-Q and R by one block at a time. Full fits solve R gamma = Q^T y on that
-factor. A whole candidate pool is scored by one batched sweep: one small
-(dim x dim) Cholesky per candidate, of its Gram with the model span
-projected out (``CandidateGrams``), instead of a full refit. The forward
-pass re-scores its short-listed candidates exactly on the factor extension
-itself (``extension_terms``). One rank rule decides usability on both. It
-keeps R's diagonal nonzero, so the LU in np.linalg.solve on R (upper
-triangular) takes no row swaps: a triangular solve that never raises.
+The projection cache factors the current model's design as W = QR, and
+``extend_cache`` alone grows Q and R, by one block at a time. Full fits
+solve R gamma = Q^T y on that factor. A whole candidate pool is scored by
+one batched sweep: one small (dim x dim) Cholesky per candidate, of its
+Gram with the model span projected out (``CandidateGrams``), instead of a
+full refit. One rank rule decides usability on both. It keeps R's diagonal
+nonzero, so the LU in np.linalg.solve on R (upper triangular) takes no row
+swaps: a triangular solve that never raises.
 """
 
 from __future__ import annotations
@@ -70,16 +69,6 @@ class ProjectionCache:
         return self.residual_y.shape[0]
 
 
-def _check_blocks(blocks: list[DesignBlock], y: np.ndarray) -> None:
-    n = y.shape[0]
-    for b in blocks:
-        if b.matrix.shape[0] != n:
-            raise ValueError(
-                f"block for covariate {b.covariate_index} has {b.matrix.shape[0]} "
-                f"rows, expected {n}"
-            )
-
-
 def fit_full(cache: ProjectionCache, y: np.ndarray) -> FitResult:
     """Least-squares fit of y on the design that ``cache`` factors.
 
@@ -91,36 +80,41 @@ def fit_full(cache: ProjectionCache, y: np.ndarray) -> FitResult:
     return FitResult(cache.index_set, gamma, cache.sigma_sq, True)
 
 
-def _append_orthonormal(
-    q: np.ndarray, r: np.ndarray, block: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormalize ``block`` against ``q`` and grow the factor W = QR.
+def extend_cache(cache: ProjectionCache, block: DesignBlock) -> ProjectionCache:
+    """Return a new cache with ``block`` absorbed into the model span.
 
-    Projects twice (classical Gram-Schmidt with reorthogonalization) before
-    the QR step to keep the accumulated basis orthonormal to round-off; both
-    projections' coefficients enter the new columns of R. Raises
-    SingularDesignError when the block fails the rank rule.
+    Projects the block off Q twice (classical Gram-Schmidt with
+    reorthogonalization) before the QR step, which keeps the grown basis
+    orthonormal to round-off; both projections' coefficients enter the new
+    columns of R. The residual is downdated by the new columns alone.
+    Raises SingularDesignError when the block fails the rank rule.
     """
-    c = q.T @ block
-    v = block - q @ c
+    q, w = cache.q, block.matrix
+    c = q.T @ w
+    v = w - q @ c
     c2 = q.T @ v
     v -= q @ c2
     qn, rn = np.linalg.qr(v)
-    pivot_sq = np.diag(rn) ** 2
-    if not _full_rank(pivot_sq.min(), np.einsum("ij,ij->j", block, block).max()):
-        raise SingularDesignError(
-            "block is numerically collinear with the current design"
-        )
-    m, d = r.shape[0], rn.shape[1]
-    r_new = np.zeros((m + d, m + d))
-    r_new[:m, :m] = r
-    r_new[:m, m:] = c + c2
-    r_new[m:, m:] = rn
-    return np.hstack([q, qn]), r_new
+    if not _full_rank((np.diag(rn) ** 2).min(), np.einsum("ij,ij->j", w, w).max()):
+        raise SingularDesignError("block is numerically collinear with the current design")
+    m, d = cache.r.shape[0], rn.shape[1]
+    r = np.zeros((m + d, m + d))
+    r[:m, :m] = cache.r
+    r[:m, m:] = c + c2
+    r[m:, m:] = rn
+    resid = cache.residual_y - qn @ (qn.T @ cache.residual_y)
+    return ProjectionCache(
+        cache.index_set + (block.covariate_index,),
+        np.hstack([q, qn]),
+        r,
+        resid,
+        float(resid @ resid) / cache.n,
+    )
 
 
 def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> ProjectionCache:
-    """Factor the span of the given blocks and project y off it.
+    """Factor the span of the given blocks and project y off it: ``extend_cache``
+    by each block in turn, from the empty model.
 
     Raises OverparameterizedError when the stacked design has more columns
     than rows and SingularDesignError, naming the covariate index of the
@@ -128,51 +122,24 @@ def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> Projecti
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    _check_blocks(blocks, y)
+    for b in blocks:
+        if b.matrix.shape[0] != n:
+            raise ValueError(
+                f"block for covariate {b.covariate_index} has {b.matrix.shape[0]} "
+                f"rows, expected {n}"
+            )
     m_total = sum(b.matrix.shape[1] for b in blocks)
     if m_total > n:
         raise OverparameterizedError(f"{m_total} coefficients for {n} observations")
-    q, r = np.zeros((n, 0)), np.zeros((0, 0))
+    cache = ProjectionCache((), np.zeros((n, 0)), np.zeros((0, 0)), y.copy(), float(y @ y) / n)
     for b in blocks:
         try:
-            q, r = _append_orthonormal(q, r, b.matrix)
+            cache = extend_cache(cache, b)
         except SingularDesignError as exc:
             raise SingularDesignError(
                 f"covariate index {b.covariate_index}: {exc}", b.covariate_index
             ) from None
-    resid = y - q @ (q.T @ y)
-    resid -= q @ (q.T @ resid)
-    return ProjectionCache(
-        tuple(b.covariate_index for b in blocks), q, r, resid, float(resid @ resid) / n
-    )
-
-
-def extend_cache(cache: ProjectionCache, block: DesignBlock) -> ProjectionCache:
-    """Return a new cache with ``block`` absorbed into the model span."""
-    q, r = _append_orthonormal(cache.q, cache.r, block.matrix)
-    qn = q[:, cache.q.shape[1] :]
-    resid = cache.residual_y - qn @ (qn.T @ cache.residual_y)
-    return ProjectionCache(
-        cache.index_set + (block.covariate_index,),
-        q,
-        r,
-        resid,
-        float(resid @ resid) / cache.n,
-    )
-
-
-def extension_terms(cache: ProjectionCache, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z, rn) of the block ``matrix`` on the factor extension ``extend_cache`` makes.
-
-    z = Qn^T r for the new orthonormal columns Qn and the model's residual
-    r, and rn is the new diagonal block of R. The block with the model span
-    projected out is Qn rn, so its variance drop is z.z / n and its cross
-    product with r is rn^T z. Raises SingularDesignError when the block
-    fails the rank rule.
-    """
-    q, r = _append_orthonormal(cache.q, cache.r, matrix)
-    d = matrix.shape[1]
-    return q[:, -d:].T @ cache.residual_y, r[-d:, -d:]
+    return cache
 
 
 # Covariate columns per GEMM when the raw Grams are formed, so that the
@@ -201,7 +168,7 @@ class CandidateGrams:
     triangle is zero.
 
     A downdated Gram squares each block's condition number, so a winner is
-    confirmed on its QR factor extension (``block``, ``extension_terms``).
+    confirmed on its QR factor extension (``block``, ``extend_cache``).
     """
 
     def __init__(self, bmat: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray):

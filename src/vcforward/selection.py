@@ -19,19 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    ConfigError,
-    DataError,
-    NoCandidateError,
-    NumericalError,
-    SingularDesignError,
-)
+from .errors import ConfigError, DataError, NumericalError, SingularDesignError
 from .regression import (
     CandidateGrams,
     ProjectionCache,
     build_projection_cache,
     extend_cache,
-    extension_terms,
     sweep,
 )
 from .splines import DesignBlock, SplineBasis, basis_matrix
@@ -88,6 +81,8 @@ class EbicConfig:
     def __post_init__(self) -> None:
         if self.eta_rule not in ("explicit", "auto"):
             raise ConfigError(f"eta_rule must be 'explicit' or 'auto', got {self.eta_rule!r}")
+        if not math.isfinite(self.eta):
+            raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.eta_rule == "explicit" and self.eta < 0.0:
             raise ConfigError("eta must be nonnegative")
         if self.patience < 1:
@@ -141,11 +136,12 @@ class SelectionTrace:
         return [self.ebic_initial] + [s.ebic for s in self.steps]
 
 
-def _argbest(scores: np.ndarray) -> int:
-    """Position of the largest score; near-ties go to the earliest position."""
+def _argbest(scores: np.ndarray) -> int | None:
+    """Position of the largest score, None when no score is finite; near-ties
+    go to the earliest position."""
     smax = scores.max()
     if not np.isfinite(smax):
-        raise NoCandidateError("no usable candidate remains")
+        return None
     tol = TIE_REL_TOL * abs(smax)
     return int(np.nonzero(scores >= smax - tol)[0][0])
 
@@ -157,32 +153,37 @@ def _scores(deltas: np.ndarray, u: np.ndarray, criterion: str) -> np.ndarray:
     return np.where(np.isfinite(deltas), np.linalg.norm(u, axis=0), -np.inf)
 
 
-def _exact_score(cache: ProjectionCache, matrix: np.ndarray, criterion: str) -> float:
-    """Score of the candidate block ``matrix`` under ``criterion``, read off
-    its factor extension; -inf when the block fails the rank rule there."""
-    try:
-        z, rn = extension_terms(cache, matrix)
-    except SingularDesignError:
-        return -math.inf
+def _exact_score(cache: ProjectionCache, new: ProjectionCache, criterion: str) -> float:
+    """Score under ``criterion`` of the block that extends ``cache`` to ``new``.
+
+    With Qn the new orthonormal columns, rn the new diagonal block of R and
+    r the model's residual, the block with the model span projected out is
+    Qn rn. So with z = Qn^T r its variance drop is z.z / n and its cross
+    product with r is rn^T z.
+    """
+    m = cache.q.shape[1]
+    z = new.q[:, m:].T @ cache.residual_y
     if criterion == "argmin_sigma":
         return float(z @ z) / cache.n
-    return float(np.linalg.norm(rn.T @ z))
+    return float(np.linalg.norm(new.r[m:, m:].T @ z))
 
 
 def _confirmed_winner(
     cache: ProjectionCache,
     grams: CandidateGrams,
+    pool_idx: np.ndarray,
     scores: np.ndarray,
     alive: np.ndarray,
     criterion: str,
-) -> int:
-    """Position of the winner among the alive candidates.
+) -> int | None:
+    """Position of the winner among the alive candidates, None when none is
+    usable.
 
     ``scores`` come from the downdated Grams. Every alive candidate whose
     score lies within CONFIRM_REL_TOL of the best is re-scored on its factor
-    extension, and again for any that come within the slack of a lower
-    confirmed best, so the winner and its ties are always decided by exact
-    scores.
+    extension (-inf when its block fails the rank rule there), and again for
+    any that come within the slack of a lower confirmed best, so the winner
+    and its ties are always decided by exact scores.
     """
     exact = np.full(scores.size, -np.inf)
     checked = ~alive
@@ -196,7 +197,11 @@ def _confirmed_winner(
         if not todo.size:
             break
         for pos in todo:
-            exact[pos] = _exact_score(cache, grams.block(pos), criterion)
+            try:
+                new = extend_cache(cache, DesignBlock(int(pool_idx[pos]), grams.block(pos)))
+            except SingularDesignError:
+                continue
+            exact[pos] = _exact_score(cache, new, criterion)
         checked[todo] = True
     return _argbest(exact)
 
@@ -328,9 +333,8 @@ def run_forward(
             grams.update(q_new, cache.residual_y)
             q_new = None
         scores = _scores(sweep(grams), grams.u, criterion)
-        try:
-            pos = _confirmed_winner(cache, grams, scores, alive, criterion)
-        except NoCandidateError:
+        pos = _confirmed_winner(cache, grams, pool_idx, scores, alive, criterion)
+        if pos is None:
             stop = "candidates_exhausted"
             break
         j = int(pool_idx[pos])

@@ -85,8 +85,8 @@ class SimScenario:
             raise ConfigError(
                 f"p must be at least {len(self.support)} for {self.example_id}"
             )
-        if self.t1 < 0.0 or self.t2 < 0.0:
-            raise ConfigError("t1 and t2 must be nonnegative")
+        if not (0.0 <= self.t1 < math.inf and 0.0 <= self.t2 < math.inf):
+            raise ConfigError("t1 and t2 must be finite and nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.reps < 1:

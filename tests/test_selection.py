@@ -8,7 +8,7 @@ import pytest
 
 import vcforward as vf
 from vcforward import selection
-from vcforward.errors import ConfigError, NoCandidateError, NumericalError, SingularDesignError
+from vcforward.errors import ConfigError, NumericalError, SingularDesignError
 from vcforward.regression import CandidateGrams
 
 from oracles import lstsq_sigma_sq, residual_pivot_ratio
@@ -72,6 +72,8 @@ def test_auto_eta_value_and_clamp():
     "kwargs",
     [
         {"eta": -0.5},
+        {"eta": float("nan")},
+        {"eta": float("inf")},
         {"patience": 0},
         {"eta_rule": "magic"},
         {"max_steps": -3},
@@ -230,17 +232,25 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
         except SingularDesignError:
             drops[j] = -np.inf
     assert max(drops, key=drops.get) == 3
+    pool_idx = np.array([2, 3, 4])
     alive = np.ones(3, dtype=bool)
     for scores in ([1e9, 1.0, 2.0], [1e9, 2.0, 2.0 * (1.0 + 1e-7)], [np.inf, 0.5, 0.0]):
-        pos = selection._confirmed_winner(cache, grams, np.array(scores), alive, "argmin_sigma")
+        pos = selection._confirmed_winner(
+            cache, grams, pool_idx, np.array(scores), alive, "argmin_sigma"
+        )
         assert pos == 1
-    with pytest.raises(NoCandidateError):
-        selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]), ~alive, "argmin_sigma")
+    dead = selection._confirmed_winner(
+        cache, grams, pool_idx, np.array([1.0, 2.0, 3.0]), ~alive, "argmin_sigma"
+    )
+    assert dead is None
     # Many exact ties, each re-scored on its own factor extension: the tie
     # goes to the first position.
     copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), cache.q, cache.residual_y)
     scores = np.ones(300)
-    assert selection._confirmed_winner(cache, copies, scores, scores > 0, "argmin_sigma") == 0
+    pos = selection._confirmed_winner(
+        cache, copies, np.full(300, 3), scores, scores > 0, "argmin_sigma"
+    )
+    assert pos == 0
 
 
 def test_run_forward_memory_stays_below_the_candidate_tensor():

@@ -35,6 +35,8 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         vf.SimScenario("ex1", t1=-1.0)
     with pytest.raises(ConfigError):
+        vf.SimScenario("ex1", t1=float("nan"))
+    with pytest.raises(ConfigError):
         vf.SimScenario("ex1", test_fraction=1.5)
     assert vf.SimScenario("ex1").support == (1, 2, 3, 4)
     assert vf.SimScenario("ex2").support == tuple(range(1, 9))
