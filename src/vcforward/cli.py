@@ -135,6 +135,8 @@ def _parse_initial(arg: str, column_names) -> tuple[int, ...]:
                 out.append(int(item))
             except ValueError:
                 raise ConfigError(f"unknown initial covariate {item!r}") from None
+    if not out:
+        raise ConfigError(f"--initial {arg!r} names no covariate; use 'empty' for the empty model")
     return tuple(out)
 
 

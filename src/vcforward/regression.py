@@ -153,41 +153,51 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class CandidateGrams:
-    """Kernel inputs of the blocks W_j = diag(x_j) B, from products over x.
+    """The candidate pool: sorted covariate ``index``, the ``alive`` mask of
+    those not yet accepted, and the kernel inputs of their blocks
+    W_j = diag(x_j) B, kept in step with the first ``m`` columns of Q.
 
-    With B the (n, dim) basis matrix and x the (n, k) candidate covariates,
-    the raw Grams are GEMMs (B_l B_m)^T x^2 over the lower triangle l >= m,
-    one block of GRAM_BLOCK_COLUMNS columns of x at a time, and their
-    diagonals give the rank rule's scale. The model's orthonormal columns Q
-    come off as G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the cross
-    products with the residual r, which is orthogonal to Q, are (B r)^T x;
-    after each accepted block both come from one more GEMM over x. So
-    memory stays O(n k + k dim^2): no (n, k, dim) stack and no copy of x is
-    formed, and ``x`` may be a view. Only the lower triangle and diagonal
-    of ``gram`` are kept, which is all ``sweep`` reads, and the upper
-    triangle is zero.
+    With B the (n, dim) basis matrix and x the (n, k) pool columns (a view
+    when ``index`` is one contiguous range, a gathered copy otherwise), the
+    raw Grams are GEMMs (B_l B_m)^T x^2 over the lower triangle l >= m, one
+    block of GRAM_BLOCK_COLUMNS columns of x at a time, and their diagonals
+    give the rank rule's scale. The model's orthonormal columns Q come off
+    as G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the cross products with
+    the residual r, which is orthogonal to Q, are (B r)^T x; after each
+    accepted block both come from one more GEMM over x. So memory stays
+    O(n k + k dim^2): no (n, k, dim) stack is formed. Only the lower
+    triangle and diagonal of ``gram`` are kept, which is all ``sweep``
+    reads, and the upper triangle is zero.
 
     A downdated Gram squares each block's condition number, so a winner is
     confirmed on its QR factor extension (``block``, ``extend_cache``).
     """
 
-    def __init__(self, bmat: np.ndarray, x: np.ndarray, q: np.ndarray, r: np.ndarray):
-        """Inputs for the model with orthonormal columns ``q`` and residual ``r``."""
+    def __init__(self, bmat: np.ndarray, x: np.ndarray, index: np.ndarray, cache: ProjectionCache):
+        """The pool of the covariates ``index`` of ``x`` against the model
+        that ``cache`` factors."""
         self.bmat = bmat
-        self.x = x
-        k, dim = x.shape[1], bmat.shape[1]
+        self.index = index
+        if index.size and index[-1] - index[0] + 1 == index.size:
+            self.x = x[:, index[0] : index[-1] + 1]
+        else:
+            self.x = x[:, index]
+        self.alive = np.ones(index.size, dtype=bool)
+        self.m = 0
+        k, dim = index.size, bmat.shape[1]
         rows, cols = np.tril_indices(dim)
         products = (bmat[:, rows] * bmat[:, cols]).T
         self.gram = np.zeros((dim, dim, k))
         for start in range(0, k, GRAM_BLOCK_COLUMNS):
-            block = x[:, start : start + GRAM_BLOCK_COLUMNS]
+            block = self.x[:, start : start + GRAM_BLOCK_COLUMNS]
             self.gram[rows, cols, start : start + block.shape[1]] = products @ (block * block)
         self.col_sq_max = np.diagonal(self.gram).max(axis=1)
-        self.update(q, r)
+        self.update(cache)
 
-    def update(self, q: np.ndarray, r: np.ndarray) -> None:
-        """Project orthonormal columns ``q``, new to the model, off every Gram
-        and take the cross products with the model's new residual ``r``."""
+    def update(self, cache: ProjectionCache) -> None:
+        """Project the orthonormal columns of ``cache`` past the first ``m``
+        off every Gram and take the cross products with its residual."""
+        q, r = cache.q[:, self.m :], cache.residual_y
         k, m, dim = self.x.shape[1], q.shape[1], self.bmat.shape[1]
         left = np.hstack([_row_products(q, self.bmat), self.bmat * r[:, None]])
         prod = left.T @ self.x
@@ -196,10 +206,11 @@ class CandidateGrams:
             self.gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
         # A copy, so that the whole product is freed on return.
         self.u = prod[m * dim :].copy()
+        self.m = cache.q.shape[1]
 
-    def block(self, pos: int) -> np.ndarray:
-        """The (n, dim) block of the candidate at position ``pos``."""
-        return self.bmat * self.x[:, pos : pos + 1]
+    def block(self, pos: int) -> DesignBlock:
+        """The design block of the candidate at position ``pos``."""
+        return DesignBlock(int(self.index[pos]), self.bmat * self.x[:, pos : pos + 1])
 
 
 def sweep(grams: CandidateGrams) -> np.ndarray:
@@ -209,8 +220,8 @@ def sweep(grams: CandidateGrams) -> np.ndarray:
     grams.gram[:, :, i], of which only the lower triangle and diagonal are
     read, and its cross products with the residual are grams.u[:, i]. Each
     Gram is Cholesky-factored, vectorized over candidates with a loop over
-    its ``dim`` columns. A candidate whose pivot fails the rank rule is
-    degenerate and gets delta = -inf.
+    its ``dim`` columns. An accepted candidate, and one whose pivot fails
+    the rank rule (degenerate), gets delta = -inf.
 
     Returns the deltas, delta = sigma_sq(S) - sigma_sq(S + candidate) over
     the n observations. Never raises.
@@ -218,7 +229,7 @@ def sweep(grams: CandidateGrams) -> np.ndarray:
     dim, k = grams.u.shape
     chol = np.zeros((dim, dim, k))
     z = np.zeros((dim, k))
-    usable = np.ones(k, dtype=bool)
+    usable = grams.alive.copy()
     for j in range(dim):
         row = chol[j, :j]
         pivot_sq = grams.gram[j, j] - np.einsum("lk,lk->k", row, row)

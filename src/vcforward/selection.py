@@ -67,8 +67,8 @@ class EbicConfig:
     """Stopping-rule settings for the forward pass.
 
     ``eta_rule`` is "explicit" (use ``eta`` as given; 0 = BIC) or "auto"
-    (eta = 1 - log n / (3 log p), clamped to [0, 1]). ``patience`` is the
-    number of consecutive criterion increases tolerated before stopping.
+    (eta = 1 - log n / (3 log p), clamped to [0, 1]; ``eta`` must stay 0).
+    ``patience`` is the number of consecutive criterion increases tolerated.
     ``max_steps`` caps accepted covariates; None uses n // (2 dim) minus the
     initial set size, keeping two observations per coefficient.
     """
@@ -85,6 +85,8 @@ class EbicConfig:
             raise ConfigError(f"eta must be finite, got {self.eta}")
         if self.eta_rule == "explicit" and self.eta < 0.0:
             raise ConfigError("eta must be nonnegative")
+        if self.eta_rule == "auto" and self.eta != 0.0:
+            raise ConfigError(f"eta {self.eta} conflicts with eta_rule 'auto'")
         if self.patience < 1:
             raise ConfigError("patience must be at least 1")
         if self.max_steps is not None and self.max_steps < 0:
@@ -169,15 +171,10 @@ def _exact_score(cache: ProjectionCache, new: ProjectionCache, criterion: str) -
 
 
 def _confirmed_winner(
-    cache: ProjectionCache,
-    grams: CandidateGrams,
-    pool_idx: np.ndarray,
-    scores: np.ndarray,
-    alive: np.ndarray,
-    criterion: str,
+    cache: ProjectionCache, grams: CandidateGrams, scores: np.ndarray, criterion: str
 ) -> int | None:
-    """Position of the winner among the alive candidates, None when none is
-    usable.
+    """Position of the winner among the pool's alive candidates, None when
+    none is usable.
 
     ``scores`` come from the downdated Grams. Every alive candidate whose
     score lies within CONFIRM_REL_TOL of the best is re-scored on its factor
@@ -186,7 +183,7 @@ def _confirmed_winner(
     and its ties are always decided by exact scores.
     """
     exact = np.full(scores.size, -np.inf)
-    checked = ~alive
+    checked = ~grams.alive
     while True:
         current = np.where(checked, exact, scores)
         best = current.max()
@@ -198,21 +195,12 @@ def _confirmed_winner(
             break
         for pos in todo:
             try:
-                new = extend_cache(cache, DesignBlock(int(pool_idx[pos]), grams.block(pos)))
+                new = extend_cache(cache, grams.block(pos))
             except SingularDesignError:
                 continue
             exact[pos] = _exact_score(cache, new, criterion)
         checked[todo] = True
     return _argbest(exact)
-
-
-def _pool_columns(x: np.ndarray, pool_idx: np.ndarray) -> np.ndarray:
-    """The columns of x at the sorted, distinct ``pool_idx``: a view when
-    they form one contiguous range (the default pool without constant
-    columns), a gathered copy otherwise."""
-    if pool_idx.size and pool_idx[-1] - pool_idx[0] + 1 == pool_idx.size:
-        return x[:, pool_idx[0] : pool_idx[-1] + 1]
-    return x[:, pool_idx]
 
 
 def _full_rank_alone(block: DesignBlock, y: np.ndarray) -> bool:
@@ -225,15 +213,15 @@ def _full_rank_alone(block: DesignBlock, y: np.ndarray) -> bool:
 
 
 def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
-    """The start of a forward pass: (initial, pool_idx, cache, grams).
+    """The start of a forward pass: (initial, cache, grams).
 
-    ``initial`` is ``initial_set`` deduplicated in order and ``pool_idx`` the
+    ``initial`` is ``initial_set`` deduplicated in order. ``cache`` factors
+    the initial set's blocks and ``grams`` is the pool against it, of the
     sorted candidate indices: ``candidate_pool`` deduplicated, or by default
     every covariate that is not constant, both without the initial set.
-    ``cache`` factors the initial set's blocks and ``grams`` holds the pool's
-    Grams against it. Raises DataError naming the first out-of-range index
-    in the order given, and SingularDesignError naming the initial
-    covariate whose block fails the rank rule.
+    Raises DataError naming the first out-of-range index in the order given,
+    and SingularDesignError naming the initial covariate whose block fails
+    the rank rule.
     """
     initial = tuple(dict.fromkeys(int(j) for j in initial_set))
     for j in initial:
@@ -263,8 +251,7 @@ def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
                 "covariates before it"
             )
         raise SingularDesignError(message, j) from exc
-    grams = CandidateGrams(bmat, _pool_columns(dataset.x, pool_idx), cache.q, cache.residual_y)
-    return initial, pool_idx, cache, grams
+    return initial, cache, CandidateGrams(bmat, dataset.x, pool_idx, cache)
 
 
 def run_forward(
@@ -299,7 +286,7 @@ def run_forward(
         raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     n, dim = dataset.n, basis.dim
     eta = config.resolve_eta(n, dataset.p)
-    initial, pool_idx, cache, grams = _start(dataset, basis, initial_set, candidate_pool)
+    initial, cache, grams = _start(dataset, basis, initial_set, candidate_pool)
 
     cap = n // dim - len(initial)
     max_steps = config.max_steps
@@ -311,39 +298,32 @@ def run_forward(
     if sigma0 <= 0.0:
         return SelectionTrace(initial, (), initial, "exact_fit", sigma0, -math.inf, eta, cache)
     ebic0 = ebic(sigma0, len(initial), n, dataset.p, dim, eta)
-    alive = np.ones(pool_idx.size, dtype=bool)
 
     steps: list[SelectionStep] = []
     sigma_prev, ebic_prev = sigma0, ebic0
     best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
     stop = None
-    # Orthonormal columns accepted into the model but not yet projected off
-    # the candidates' Grams; the update waits for the sweep that needs it,
-    # so a pass that stops after a step does not update at all.
-    q_new = None
     while True:
         if len(steps) >= max_steps:
             stop = "max_steps"
             break
-        if not alive.any():
+        if not grams.alive.any():
             stop = "candidates_exhausted"
             break
-        if q_new is not None:
-            grams.update(q_new, cache.residual_y)
-            q_new = None
+        # An accepted block comes off the Grams only before the sweep that
+        # needs it, so a pass that stops after a step makes no update.
+        if grams.m < cache.q.shape[1]:
+            grams.update(cache)
         scores = _scores(sweep(grams), grams.u, criterion)
-        pos = _confirmed_winner(cache, grams, pool_idx, scores, alive, criterion)
+        pos = _confirmed_winner(cache, grams, scores, criterion)
         if pos is None:
             stop = "candidates_exhausted"
             break
-        j = int(pool_idx[pos])
         # Cannot fail: the confirmation made this same extension of this factor.
-        new_cache = extend_cache(cache, DesignBlock(j, grams.block(pos)))
-        # Only the newly added orthonormal directions are projected out.
-        q_new = new_cache.q[:, cache.q.shape[1] :]
-        cache = new_cache
-        alive[pos] = False
+        cache = extend_cache(cache, grams.block(pos))
+        grams.alive[pos] = False
+        j = cache.index_set[-1]
 
         sigma = cache.sigma_sq
         delta = sigma_prev - sigma
@@ -377,7 +357,7 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     if not 1 <= keep_k <= dataset.p:
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
     n, dim = dataset.n, basis.dim
-    _, candidates, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
+    _, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
     deltas = sweep(grams)
 
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
@@ -387,4 +367,4 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     fits = sigma_j > 0.0
     bic[fits] = n * np.log(sigma_j[fits]) + ebic(1.0, 2, n, dataset.p, dim, 0.0)
     order = np.argsort(bic, kind="stable")
-    return candidates[order[:keep_k]].tolist()
+    return grams.index[order[:keep_k]].tolist()

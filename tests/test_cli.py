@@ -94,6 +94,18 @@ def test_select_eta_conflict_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("initial", ["", ","])
+def test_select_initial_naming_no_covariate_is_usage_error(tmp_path, capsys, initial):
+    # An empty list is not the empty model: that takes "empty".
+    data = _noise_csv(tmp_path / "noise.csv")
+    out = tmp_path / "report.json"
+    argv = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t"]
+    assert main(argv + ["--initial", initial, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "empty" in err
+    assert not out.exists()
+
+
 def test_select_missing_file_is_data_error(tmp_path, capsys):
     code = main(
         ["select", "--data", str(tmp_path / "absent.csv"), "--y-column", "y", "--t-column", "t"]

@@ -9,7 +9,7 @@ import pytest
 import vcforward as vf
 from vcforward import selection
 from vcforward.errors import ConfigError, NumericalError, SingularDesignError
-from vcforward.regression import CandidateGrams
+from vcforward.regression import CandidateGrams, sweep
 
 from oracles import lstsq_sigma_sq, residual_pivot_ratio
 
@@ -74,6 +74,7 @@ def test_auto_eta_value_and_clamp():
         {"eta": -0.5},
         {"eta": float("nan")},
         {"eta": float("inf")},
+        {"eta": 0.5, "eta_rule": "auto"},
         {"patience": 0},
         {"eta_rule": "magic"},
         {"max_steps": -3},
@@ -222,7 +223,8 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
     basis = vf.build_basis(5, 3)
     bmat = vf.basis_matrix(basis, t)
     cache = vf.build_projection_cache([vf.DesignBlock(0, bmat), vf.DesignBlock(1, bmat * x[:, :1])], y)
-    grams = CandidateGrams(bmat, x[:, 1:], cache.q, cache.residual_y)
+    xfull = np.column_stack([np.ones(n), x])
+    grams = CandidateGrams(bmat, xfull, np.array([2, 3, 4]), cache)
     # The explicit reference: each candidate's drop on its extended factor.
     drops = {}
     for j in (2, 3, 4):
@@ -232,24 +234,17 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
         except SingularDesignError:
             drops[j] = -np.inf
     assert max(drops, key=drops.get) == 3
-    pool_idx = np.array([2, 3, 4])
-    alive = np.ones(3, dtype=bool)
     for scores in ([1e9, 1.0, 2.0], [1e9, 2.0, 2.0 * (1.0 + 1e-7)], [np.inf, 0.5, 0.0]):
-        pos = selection._confirmed_winner(
-            cache, grams, pool_idx, np.array(scores), alive, "argmin_sigma"
-        )
+        pos = selection._confirmed_winner(cache, grams, np.array(scores), "argmin_sigma")
         assert pos == 1
-    dead = selection._confirmed_winner(
-        cache, grams, pool_idx, np.array([1.0, 2.0, 3.0]), ~alive, "argmin_sigma"
-    )
+    grams.alive[:] = False
+    dead = selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]), "argmin_sigma")
     assert dead is None
     # Many exact ties, each re-scored on its own factor extension: the tie
     # goes to the first position.
-    copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), cache.q, cache.residual_y)
+    copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), np.arange(300), cache)
     scores = np.ones(300)
-    pos = selection._confirmed_winner(
-        cache, copies, np.full(300, 3), scores, scores > 0, "argmin_sigma"
-    )
+    pos = selection._confirmed_winner(cache, copies, scores, "argmin_sigma")
     assert pos == 0
 
 
@@ -304,7 +299,7 @@ def test_candidate_grams_hold_only_grams_and_cross_products():
     cache = vf.build_projection_cache([vf.DesignBlock(0, bmat)], rng.standard_normal(n))
     tracemalloc.start()
     try:
-        grams = CandidateGrams(bmat, x, cache.q, cache.residual_y)
+        grams = CandidateGrams(bmat, x, np.arange(p), cache)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -318,9 +313,9 @@ def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
     calls = []
     update = CandidateGrams.update
 
-    def counting(self, q, r):
-        calls.append(q.shape[1])
-        update(self, q, r)
+    def counting(self, cache):
+        calls.append(cache.q.shape[1] - self.m)
+        update(self, cache)
 
     monkeypatch.setattr(CandidateGrams, "update", counting)
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
@@ -483,7 +478,7 @@ def test_pass_start_pools_and_out_of_range_indices():
     basis = vf.build_basis(5, 4)
 
     def pool(initial, candidate_pool):
-        return selection._start(ds, basis, initial, candidate_pool)[1].tolist()
+        return selection._start(ds, basis, initial, candidate_pool)[2].index.tolist()
 
     assert pool((0,), None) == [1, 2, 4, 5, 6]
     assert pool((2, 0, 2), None) == [1, 4, 5, 6]
@@ -495,6 +490,23 @@ def test_pass_start_pools_and_out_of_range_indices():
         pool((0,), [1, 9, -1])
     with pytest.raises(vf.DataError, match="initial covariate index 7 is out of range"):
         pool((0, 7), None)
+
+
+def test_candidate_pool_owns_its_indices_blocks_and_live_mask():
+    # A non-contiguous pool: gathered columns, each block carrying its real
+    # covariate index, and an accepted candidate scoring -inf.
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((60, 6))
+    ds = vf.from_arrays(rng.standard_normal(60), rng.random(60), x)
+    basis = vf.build_basis(5, 4)
+    _, _, grams = selection._start(ds, basis, (0, 5), [6, 3, 0, 6, 5, 1])
+    assert grams.index.tolist() == [1, 3, 6]
+    block = grams.block(1)
+    assert isinstance(block, vf.DesignBlock) and block.covariate_index == 3
+    np.testing.assert_array_equal(block.matrix, vf.basis_matrix(basis, ds.t) * ds.x[:, 3:4])
+    assert np.isfinite(sweep(grams)).all()
+    grams.alive[1] = False
+    assert sweep(grams)[1] == -np.inf
 
 
 def test_run_forward_exact_fit_on_zero_response():
