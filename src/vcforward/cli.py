@@ -10,7 +10,6 @@ import argparse
 import datetime
 import functools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
@@ -294,6 +293,9 @@ def cmd_simulate(args) -> int:
         for r in range(scenario.reps)
     ]
     if args.workers > 1:
+        # Imported here: it loads multiprocessing, which no other run needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_rep_task, tasks, chunksize=1))
     else:

@@ -208,9 +208,9 @@ def _parse_cells(fh, path, header: list[str]) -> np.ndarray:
         return np.empty((0, width))
     if cells.shape[1] != width:
         raise DataError(f"{path}: data row 1 has {cells.shape[1]} fields, expected {width}")
-    finite = np.isfinite(cells)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    # NaN and +-inf propagate through max and min: no n x width mask.
+    if not (np.isfinite(cells.max(axis=0)).all() and np.isfinite(cells.min(axis=0)).all()):
+        i, j = np.argwhere(~np.isfinite(cells))[0]
         raise DataError(
             f"{path}: non-numeric value {str(float(cells[i, j]))!r} at data row {i + 1}, "
             f"column {header[j]!r}"
@@ -260,17 +260,30 @@ def load_csv(path, y_column: str, t_column: str, min_rows: int | None = None) ->
     if not n:
         raise DataError(f"{path}: no data rows")
 
-    t_raw = parsed[:, t_pos]
-    t_min, t_max = float(t_raw.min()), float(t_raw.max())
-    if 0.0 <= t_min and t_max <= 1.0:
-        t = t_raw
-        rescale = (0.0, 1.0)
-    else:
+    # The Dataset is built inside ``parsed``: y and t are copied out, the
+    # covariates move right into columns 2.. in file order, and column 1
+    # becomes the intercept, so x is a view and one copy of the cells is held.
+    y, t = parsed[:, y_pos].copy(), parsed[:, t_pos].copy()
+    low, high = sorted((y_pos, t_pos))
+    _shift_right(parsed, low + 1, high, 1)
+    _shift_right(parsed, 0, low, 2)
+    parsed[:, 1] = 1.0
+    t_min, t_max = float(t.min()), float(t.max())
+    rescale = (0.0, 1.0)
+    if not (0.0 <= t_min and t_max <= 1.0):
         if t_max == t_min:
             raise DataError(f"{path}: index column {t_column!r} is constant")
-        t = (t_raw - t_min) / (t_max - t_min)
+        t = (t - t_min) / (t_max - t_min)
         rescale = (t_min, t_max)
 
-    x = np.column_stack([np.ones(n), parsed[:, cov_pos]])
     names = (INTERCEPT_NAME, *(header[i] for i in cov_pos))
-    return Dataset(y=parsed[:, y_pos], t=t, x=x, column_names=names, rescale_map=rescale)
+    return Dataset(y=y, t=t, x=parsed[:, 1:], column_names=names, rescale_map=rescale)
+
+
+def _shift_right(cells: np.ndarray, start: int, stop: int, by: int) -> None:
+    """Move columns [start, stop) of ``cells`` ``by`` places right, in place,
+    one block of 256 columns at a time from the right, so that numpy's
+    buffer for the overlapping copy is at most n x 256."""
+    for hi in range(stop, start, -256):
+        lo = max(start, hi - 256)
+        cells[:, lo + by : hi + by] = cells[:, lo:hi]

@@ -225,19 +225,25 @@ def snr(scenario: SimScenario, mc_samples: int = 100_000) -> float:
     """Monte Carlo variance of the true signal over the unit noise variance.
 
     Only the active covariates are drawn, so the cost is independent of p.
+    Their normals are drawn in row blocks, which continue one stream, and
+    each block's terms are added in the same order, so the value is that of
+    one full-size draw.
     """
     if mc_samples < 10_000:
         raise ConfigError("mc_samples must be at least 10000")
     rng = _stream(scenario.seed, 0, _PURPOSE_SNR)
-    coeffs = EXAMPLE_COEFFS[scenario.example_id]
+    coeffs = [coeff for _, coeff in sorted(EXAMPLE_COEFFS[scenario.example_id].items())]
     u1 = rng.random(mc_samples)
     u2 = rng.random(mc_samples)
-    z = rng.standard_normal((mc_samples, len(coeffs)))
-    x = (z + scenario.t1 * u1[:, None]) / (1.0 + scenario.t1)
     t = (u2 + scenario.t2 * u1) / (1.0 + scenario.t2)
     signal = np.zeros(mc_samples)
-    for k, (j, coeff) in enumerate(sorted(coeffs.items())):
-        signal += coeff(t) * x[:, k]
+    rows = DRAW_BLOCK_CELLS // len(coeffs)
+    for start in range(0, mc_samples, rows):
+        stop = min(start + rows, mc_samples)
+        z = rng.standard_normal((stop - start, len(coeffs)))
+        x = (z + scenario.t1 * u1[start:stop, None]) / (1.0 + scenario.t1)
+        for k, coeff in enumerate(coeffs):
+            signal[start:stop] += coeff(t[start:stop]) * x[:, k]
     return float(np.var(signal))
 
 

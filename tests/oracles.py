@@ -117,3 +117,22 @@ def benchmark_draw(coeffs, seed, rep_index, purpose, size, p, t1, t2):
         y = y + coeff(t) * x[:, j - 1]
     constant = tuple(j + 1 for j in range(p) if len(set(x[:, j].tolist())) == 1)
     return y, t, x, constant
+
+
+def snr_full_draw(coeffs, seed, t1, t2, samples):
+    """Signal variance of a benchmark model from one full-size draw.
+
+    The stream is keyed by (seed, 0, 2); u1, u2 and then every active
+    covariate's normals are drawn in single calls, and the signal
+    sum_j coeffs[j](t) x_j is summed in increasing j, out of place.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2)))
+    u1 = rng.random(samples)
+    u2 = rng.random(samples)
+    z = rng.standard_normal((samples, len(coeffs)))
+    x = (z + t1 * u1[:, None]) / (1.0 + t1)
+    t = (u2 + t2 * u1) / (1.0 + t2)
+    signal = np.zeros(samples)
+    for k, j in enumerate(sorted(coeffs)):
+        signal = signal + coeffs[j](t) * x[:, k]
+    return float(np.var(signal))

@@ -608,6 +608,26 @@ def test_select_on_tied_or_clustered_index_values(tmp_path, capsys, law):
         curves.unlink()
 
 
+def test_cli_import_loads_no_process_pool():
+    # Only a simulate run with --workers > 1 needs the process pool, and
+    # importing it loads multiprocessing.
+    script = """
+import json, sys
+import vcforward.cli
+print(json.dumps(sorted(
+    m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules
+)))
+"""
+    src = str(Path(vf.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+
+
 def test_cli_process_loads_no_scipy_and_one_openblas(tmp_path):
     # A fresh interpreter that runs a tiny simulate in-process must load
     # numpy's BLAS/LAPACK only (numpy's wheels bundle OpenBLAS): a second

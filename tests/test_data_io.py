@@ -398,6 +398,60 @@ def test_load_peak_memory_is_a_few_matrices(tmp_path):
         tracemalloc.stop()
     assert peak < 5 * ds.x.nbytes, (peak, ds.x.nbytes)
 
+
+_P_WIDE = 600
+
+
+@pytest.mark.parametrize(
+    "y_pos, t_pos, rescaled",
+    [
+        (0, 1, False),
+        (1, 0, False),
+        (_P_WIDE, _P_WIDE + 1, False),
+        (_P_WIDE + 1, 0, False),
+        (300, 301, False),
+        (5, 450, False),
+        (_P_WIDE + 1, _P_WIDE, False),
+        (0, _P_WIDE + 1, False),
+        (255, 257, False),
+        (450, 5, True),
+    ],
+)
+def test_load_builds_x_in_the_parsed_cells(tmp_path, y_pos, t_pos, rescaled):
+    # p = 600 covariates move across more than one 256-column block
+    # wherever y and t sit; the oracle gathers the columns afresh.
+    rng = np.random.default_rng(y_pos * 1000 + t_pos)
+    n, p = 400, _P_WIDE
+    cells = rng.standard_normal((n, p + 2))
+    cells[:, t_pos] = rng.random(n) * (7.0 if rescaled else 1.0) + (2.0 if rescaled else 0.0)
+    cov = [c for c in range(p + 2) if c not in (y_pos, t_pos)]
+    header = [f"c{c}" for c in range(p + 2)]
+    header[y_pos], header[t_pos] = "y", "t"
+    path = tmp_path / "placed.csv"
+    np.savetxt(path, cells, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+    tracemalloc.start()
+    try:
+        ds = vf.load_csv(path, "y", "t")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    parsed = np.loadtxt(path, delimiter=",", skiprows=1)
+    t_raw = parsed[:, t_pos]
+    t_want = (t_raw - t_raw.min()) / (t_raw.max() - t_raw.min()) if rescaled else t_raw
+    assert (ds.x == np.column_stack([np.ones(n), parsed[:, cov]])).all()
+    assert (ds.x[:, 0] == 1.0).all()
+    assert (ds.y == parsed[:, y_pos]).all()
+    assert (ds.t == t_want).all()
+    assert ds.rescale_map == ((t_raw.min(), t_raw.max()) if rescaled else (0.0, 1.0))
+    assert ds.column_names == ("intercept", *(header[c] for c in cov))
+    # One copy of the cells: gathering x next to them peaked near 3x and
+    # held 2x.
+    assert peak < 1.6 * ds.x.nbytes, (peak, ds.x.nbytes)
+    assert held < 1.1 * ds.x.nbytes, (held, ds.x.nbytes)
+
+
 def _small_fit():
     rng = np.random.default_rng(3)
     basis = vf.build_basis(5, 3)

@@ -11,7 +11,7 @@ from vcforward import simulation
 from vcforward.errors import ConfigError, DataError
 from vcforward.simulation import EXAMPLE_COEFFS
 
-from oracles import benchmark_draw
+from oracles import benchmark_draw, snr_full_draw
 
 
 def _refit(train, basis, sel):
@@ -168,6 +168,29 @@ def test_snr_matches_reported_values():
         sc = vf.SimScenario(example, n=400, p=10, t1=t1, t2=t2, seed=1, reps=1)
         est = vf.snr(sc, 100_000)
         assert abs(est - want) / want <= 0.10
+
+
+@pytest.mark.parametrize("example, t1, t2", [("ex1", 0.0, 0.0), ("ex2", 2.0, 1.0), ("ex1", 3.0, 2.0)])
+def test_snr_equals_one_full_draw(example, t1, t2):
+    # 12_345 samples end on a partial block of rows at either example's
+    # block height.
+    for seed in (0, 1, 7):
+        for samples in (10_000, 12_345):
+            sc = vf.SimScenario(example, n=400, p=10, t1=t1, t2=t2, seed=seed, reps=1)
+            want = snr_full_draw(EXAMPLE_COEFFS[example], seed, t1, t2, samples)
+            assert vf.snr(sc, samples) == want, (seed, samples)
+
+
+def test_snr_peak_memory_is_a_few_vectors():
+    sc = vf.SimScenario("ex2", n=400, p=10, t1=2.0, t2=1.0, seed=1, reps=1)
+    tracemalloc.start()
+    try:
+        vf.snr(sc, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Full-size draws of all eight covariates peaked near 17 MB.
+    assert peak < 6e6, peak
 
 
 def test_evaluate_rep_counts():
