@@ -177,7 +177,9 @@ def cmd_select(args) -> int:
     initial = _parse_initial(args.initial, dataset.column_names)
     pool = None
     if args.screen_k > 0:
-        pool = marginal_rank_screen(dataset, basis, args.screen_k)
+        # The screen ranks covariates only; the intercept stays a candidate
+        # (run_forward drops it from the pool when it is in the initial set).
+        pool = [0, *marginal_rank_screen(dataset, basis, args.screen_k)]
     trace = run_forward(
         dataset, basis, config, initial_set=initial, candidate_pool=pool, criterion=criterion
     )

@@ -203,15 +203,6 @@ def _confirmed_winner(
     return _argbest(exact)
 
 
-def _full_rank_alone(block: DesignBlock, y: np.ndarray) -> bool:
-    """Whether ``block`` passes the rank rule in a model of its own."""
-    try:
-        build_projection_cache([block], y)
-    except SingularDesignError:
-        return False
-    return True
-
-
 def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
     """The start of a forward pass: (initial, cache, grams).
 
@@ -243,7 +234,9 @@ def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
     except SingularDesignError as exc:
         j = exc.covariate_index
         name = dataset.column_names[j]
-        if not _full_rank_alone(blocks[initial.index(j)], dataset.y):
+        try:
+            build_projection_cache([blocks[initial.index(j)]], dataset.y)
+        except SingularDesignError:
             message = f"initial covariate {name!r}: its spline block is rank deficient on its own"
         else:
             message = (
@@ -300,17 +293,9 @@ def run_forward(
     ebic0 = ebic(sigma0, len(initial), n, dataset.p, dim, eta)
 
     steps: list[SelectionStep] = []
-    sigma_prev, ebic_prev = sigma0, ebic0
     best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
-    stop = None
-    while True:
-        if len(steps) >= max_steps:
-            stop = "max_steps"
-            break
-        if not grams.alive.any():
-            stop = "candidates_exhausted"
-            break
+    while len(steps) < max_steps and grams.alive.any() and streak < config.patience:
         # An accepted block comes off the Grams only before the sweep that
         # needs it, so a pass that stops after a step makes no update.
         if grams.m < cache.q.shape[1]:
@@ -318,53 +303,48 @@ def run_forward(
         scores = _scores(sweep(grams), grams.u, criterion)
         pos = _confirmed_winner(cache, grams, scores, criterion)
         if pos is None:
-            stop = "candidates_exhausted"
             break
         # Cannot fail: the confirmation made this same extension of this factor.
         cache = extend_cache(cache, grams.block(pos))
         grams.alive[pos] = False
-        j = cache.index_set[-1]
-
+        # The model before this step is read off its record: no old factor is kept.
+        sigma_last, ebic_last = (steps[-1].sigma_sq, steps[-1].ebic) if steps else (sigma0, ebic0)
         sigma = cache.sigma_sq
-        delta = sigma_prev - sigma
-        if sigma <= 0.0:
-            steps.append(SelectionStep(j, sigma, -math.inf, delta))
-            best_val, best_len, best_cache = -math.inf, len(steps), cache
-            stop = "exact_fit"
-            break
-        e = ebic(sigma, len(initial) + len(steps) + 1, n, dataset.p, dim, eta)
-        steps.append(SelectionStep(j, sigma, e, delta))
+        e = ebic(sigma, len(cache.index_set), n, dataset.p, dim, eta) if sigma > 0.0 else -math.inf
+        streak = streak + 1 if e > ebic_last else 0
+        steps.append(SelectionStep(cache.index_set[-1], sigma, e, sigma_last - sigma))
         if e < best_val:
             best_val, best_len, best_cache = e, len(steps), cache
-        streak = streak + 1 if e > ebic_prev else 0
-        if streak >= config.patience:
-            stop = "patience_exhausted"
+        if e == -math.inf:
             break
-        sigma_prev, ebic_prev = sigma, e
 
+    if steps and steps[-1].ebic == -math.inf:
+        stop = "exact_fit"
+    elif streak >= config.patience:
+        stop = "patience_exhausted"
+    elif len(steps) >= max_steps:
+        stop = "max_steps"
+    else:
+        stop = "candidates_exhausted"
     final = initial + tuple(s.index for s in steps[:best_len])
     return SelectionTrace(initial, tuple(steps), final, stop, sigma0, ebic0, eta, best_cache)
 
 
 def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> list[int]:
-    """Rank covariates by the BIC of their single-covariate model.
+    """Rank covariates by the variance estimate of their single-covariate model.
 
     Scores {intercept, j} for every covariate j in one sweep over the
     candidates' Grams (the first sweep of ``run_forward``'s Gram route),
-    ranks ascending by BIC (ties by index) and returns the best ``keep_k``
-    indices. The result feeds ``run_forward``'s candidate pool.
+    ranks ascending by variance (ties by index) and returns the best
+    ``keep_k`` indices. Every such model has the same size, so this is also
+    the order of their BIC. The result feeds ``run_forward``'s candidate
+    pool; it never holds the intercept.
     """
     if not 1 <= keep_k <= dataset.p:
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
-    n, dim = dataset.n, basis.dim
     _, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
-    deltas = sweep(grams)
-
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
-    # exact fit first. The criterion at sigma_sq = 1 is its penalty alone.
-    sigma_j = cache.sigma_sq - deltas
-    bic = np.full(sigma_j.size, -np.inf)
-    fits = sigma_j > 0.0
-    bic[fits] = n * np.log(sigma_j[fits]) + ebic(1.0, 2, n, dataset.p, dim, 0.0)
-    order = np.argsort(bic, kind="stable")
+    # exact fit first.
+    sigma_j = cache.sigma_sq - sweep(grams)
+    order = np.argsort(np.where(sigma_j > 0.0, sigma_j, -np.inf), kind="stable")
     return grams.index[order[:keep_k]].tolist()

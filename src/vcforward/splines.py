@@ -50,10 +50,6 @@ class DesignBlock:
     covariate_index: int
     matrix: np.ndarray  # n x dim
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def build_basis(dim: int, order: int = 4) -> SplineBasis:
     """Construct the clamped equi-spaced basis with ``dim`` functions.

@@ -289,6 +289,53 @@ def test_select_with_screen_and_curves(tmp_path):
     assert header[0] == "t" and "x3" in header
 
 
+def _cells_csv(path, names, columns):
+    cells = np.column_stack(columns)
+    np.savetxt(path, cells, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    return path
+
+
+def test_select_screen_keeps_the_intercept_a_candidate(tmp_path, capsys):
+    # The screen ranks covariates only; from the empty model the intercept
+    # must stay in the pool, with or without a screen.
+    rng = np.random.default_rng(8)
+    n = 300
+    t = rng.random(n)
+    x = rng.standard_normal((n, 5))
+    y = 5.0 + 2.0 * x[:, 0] + rng.standard_normal(n)
+    names = ["y", "t", *(f"x{j}" for j in range(1, 6))]
+    data = _cells_csv(tmp_path / "icpt.csv", names, [y, t, x])
+    out = tmp_path / "r.json"
+    select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t", "--L", "5",
+              "--initial", "empty", "--no-timestamp", "--out", str(out)]
+    for screen in ([], ["--screen-k", "3"]):
+        assert main(select + screen) == 0, capsys.readouterr().err
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert sorted(report["selection"]["final_names"]) == ["intercept", "x1"], screen
+
+
+def test_select_reports_rescaled_index_and_clamped_auto_eta(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    n = 40
+    t = 10.0 + 10.0 * rng.random(n)
+    t[:2] = 10.0, 20.0
+    x = rng.standard_normal((n, 2))
+    y = x[:, 0] + rng.standard_normal(n)
+    data = _cells_csv(tmp_path / "w.csv", ["y", "t", "x1", "x2"], [y, t, x])
+    out = tmp_path / "r.json"
+    code = main(["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
+                 "--L", "5", "--eta-rule", "auto", "--no-timestamp", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    report = json.loads(out.read_text(encoding="utf-8"))
+    # auto eta = 1 - log 40 / (3 log 2) = -0.7740 at p = 2.
+    assert report["warnings"] == [
+        "index variable rescaled to [0, 1] from [10.0, 20.0]",
+        "auto eta -0.7740 clamped to 0",
+    ]
+    assert report["dataset"]["rescale_map"] == [10.0, 20.0]
+    assert report["selection"]["eta"] == 0.0
+
+
 def test_simulate_single_rep_aggregate_equals_rep(tmp_path):
     out = tmp_path / "agg.json"
     per = tmp_path / "reps.csv"
@@ -337,6 +384,27 @@ def test_simulate_unknown_scenario_key_lists_valid(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(scen)]) == 1
     err = capsys.readouterr().err
     assert "bogus" in err and "valid keys" in err and "screen_k" in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("example=ex1\nn\n", ":2: expected key=value, got 'n'"),
+        ("example=ex1\nn=abc\n", "scenario key 'n' has invalid value 'abc'"),
+        ("example=ex1\ncriterion=bogus\n", "unknown criterion 'bogus'"),
+    ],
+    ids=["no-equals", "bad-value", "bad-criterion"],
+)
+def test_simulate_bad_scenario_file_is_usage_error(tmp_path, monkeypatch, capsys, text, message):
+    calls = []
+    monkeypatch.setattr(cli, "_rep_task", calls.append)
+    scen = tmp_path / "scenario.txt"
+    scen.write_text(text, encoding="utf-8")
+    out = tmp_path / "agg.json"
+    assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    assert calls == [] and not out.exists()
 
 
 def test_simulate_requires_example(capsys):

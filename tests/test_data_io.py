@@ -253,11 +253,28 @@ _LOADED = [[1.0, 0.5, 2.0], [3.0, 0.25, 4.0]]
             "y,t,a\n1,0.5,1_0\n", "non-numeric value '1_0' at data row 1, column 'a'",
             id="underscore",
         ),
+        # Python's float accepts non-ASCII digits; loadtxt does not.
+        pytest.param(
+            "y,t,a\n1,0.5,\uff11\n", "non-numeric value '\uff11' at data row 1, column 'a'",
+            id="fullwidth-digit",
+        ),
+        pytest.param(
+            "y,t,a\n\u0663,0.5,2\n", "non-numeric value '\u0663' at data row 1, column 'y'",
+            id="arabic-indic-digit",
+        ),
         # A non-numeric cell is reported before a NaN cell, even a later one.
         pytest.param(
             "y,t,a\nnan,0.5,2\n3,0.25,oops\n",
             "non-numeric value 'oops' at data row 2, column 'a'",
             id="non-numeric-before-nan",
+        ),
+        # Column roles: an index outside [0, 1] that cannot be rescaled, and
+        # no covariate left besides y and t.
+        pytest.param(
+            "y,t,a\n1,2,3\n4,2,5\n", "index column 't' is constant", id="constant-index"
+        ),
+        pytest.param(
+            "y,t\n1,0.5\n", "no covariate columns besides 'y' and 't'", id="no-covariates"
         ),
         # Files without data rows keep their messages.
         pytest.param("y,t,a\n", "no data rows", id="header-only"),
@@ -279,6 +296,13 @@ def test_load_csv_edge_cases(tmp_path, text, outcome):
     np.testing.assert_array_equal(ds.t, want[:, 1])
     np.testing.assert_array_equal(ds.x[:, 1], want[:, 2])
 
+
+
+def test_load_response_and_index_must_differ(tmp_path):
+    path = tmp_path / "same.csv"
+    _write_csv(path, ["y", "t", "a"], [[1, 0.5, 3]])
+    with pytest.raises(DataError, match=r"same\.csv: response and index columns must differ"):
+        vf.load_csv(path, "t", "t")
 
 
 @pytest.mark.parametrize(

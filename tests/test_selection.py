@@ -1,5 +1,6 @@
 """Forward-selection algorithm tests: criterion, stopping, rollback, screen."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -516,6 +517,30 @@ def test_run_forward_exact_fit_on_zero_response():
     assert trace.stop_reason == "exact_fit"
     assert trace.final_set == trace.initial_set == (0,)
     assert trace.ebic_initial == -math.inf
+
+
+def test_run_forward_exact_fit_after_a_step(monkeypatch):
+    # A factor of three blocks is made an exact fit: the second step ends
+    # the pass with criterion -inf, and rollback keeps every step.
+    extend = selection.extend_cache
+
+    def exact_at_three(cache, block):
+        new = extend(cache, block)
+        if len(new.index_set) == 3:
+            new = dataclasses.replace(new, residual_y=np.zeros(new.n), sigma_sq=0.0)
+        return new
+
+    monkeypatch.setattr(selection, "extend_cache", exact_at_three)
+    sc = vf.SimScenario("ex1", n=400, p=50, seed=3, reps=1)
+    train, _ = vf.generate(sc, 0)
+    trace = vf.run_forward(train, vf.build_basis(7, 4), vf.EbicConfig(eta=0.0))
+    assert trace.stop_reason == "exact_fit"
+    assert len(trace.steps) == 2
+    last = trace.steps[-1]
+    assert last.ebic == -math.inf and last.sigma_sq == 0.0
+    assert last.delta_rss == trace.steps[0].sigma_sq
+    assert trace.final_set == (0, *(s.index for s in trace.steps))
+    assert trace.final_cache.index_set == trace.final_set
 
 
 def test_run_forward_empty_initial_set():
