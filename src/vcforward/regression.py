@@ -3,11 +3,12 @@
 The projection cache factors the current model's design as W = QR, and
 ``extend_cache`` alone grows Q and R, by one block at a time. Full fits
 solve R gamma = Q^T y on that factor. A whole candidate pool is scored by
-one batched sweep: one small (dim x dim) Cholesky per candidate, of its
-Gram with the model span projected out (``CandidateGrams``), instead of a
-full refit. One rank rule decides usability on both. It keeps R's diagonal
-nonzero, so the LU in np.linalg.solve on R (upper triangular) takes no row
-swaps: a triangular solve that never raises.
+one batched sweep, tile by tile: one small (dim x dim) Cholesky per
+candidate, of its Gram with the model span projected out
+(``CandidateGrams``), instead of a full refit. One rank rule decides
+usability on both. It keeps R's diagonal nonzero, so the LU in
+np.linalg.solve on R (upper triangular) takes no row swaps: a triangular
+solve that never raises.
 """
 
 from __future__ import annotations
@@ -142,9 +143,15 @@ def build_projection_cache(blocks: list[DesignBlock], y: np.ndarray) -> Projecti
     return cache
 
 
-# Covariate columns per GEMM when the raw Grams are formed, so that the
-# squared covariates exist one block at a time.
+# Covariate columns per GEMM when the raw Grams are formed. The set-up
+# squares n x GRAM_BLOCK_COLUMNS covariate values at a time, so it stays
+# narrower than a sweep's tile, whose scratch has no factor of n.
 GRAM_BLOCK_COLUMNS = 256
+
+# Candidates per tile of a sweep. A tile's projection product and Cholesky
+# factors are a forward step's scratch, O(TILE_COLUMNS dim^2) floats
+# whatever the pool size.
+TILE_COLUMNS = 4096
 
 
 def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,27 +162,29 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class CandidateGrams:
     """The candidate pool: sorted covariate ``index``, the ``alive`` mask of
     those not yet accepted, and the kernel inputs of their blocks
-    W_j = diag(x_j) B, kept in step with the first ``m`` columns of Q.
+    W_j = diag(x_j) B, with the first ``m`` columns of Q projected out.
 
     With B the (n, dim) basis matrix and x the (n, k) pool columns (a view
     when ``index`` is one contiguous range, a gathered copy otherwise), the
     raw Grams are GEMMs (B_l B_m)^T x^2 over the lower triangle l >= m, one
     block of GRAM_BLOCK_COLUMNS columns of x at a time, and their diagonals
-    give the rank rule's scale. The model's orthonormal columns Q come off
-    as G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the cross products with
-    the residual r, which is orthogonal to Q, are (B r)^T x; after each
-    accepted block both come from one more GEMM over x. So memory stays
-    O(n k + k dim^2): no (n, k, dim) stack is formed. Only the lower
-    triangle and diagonal of ``gram`` are kept, which is all ``sweep``
-    reads, and the upper triangle is zero.
+    give the rank rule's scale. ``sweep`` takes the model's orthonormal
+    columns Q off them as G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the
+    cross products with the residual r, which is orthogonal to Q, as
+    (B r)^T x, one tile of TILE_COLUMNS candidates at a time. So memory
+    stays O(n k + k dim^2), held, plus O(TILE_COLUMNS dim^2 + n dim^2) per
+    sweep: no (n, k, dim) stack is formed. Only the lower triangle and
+    diagonal of ``gram`` are kept, which is all ``sweep`` reads, and the
+    upper triangle is zero; ``u`` holds the cross products of the last
+    sweep.
 
     A downdated Gram squares each block's condition number, so a winner is
     confirmed on its QR factor extension (``block``, ``extend_cache``).
     """
 
-    def __init__(self, bmat: np.ndarray, x: np.ndarray, index: np.ndarray, cache: ProjectionCache):
-        """The pool of the covariates ``index`` of ``x`` against the model
-        that ``cache`` factors."""
+    def __init__(self, bmat: np.ndarray, x: np.ndarray, index: np.ndarray):
+        """The pool of the covariates ``index`` of ``x``, with no model
+        projected out yet."""
         self.bmat = bmat
         self.index = index
         if index.size and index[-1] - index[0] + 1 == index.size:
@@ -192,56 +201,80 @@ class CandidateGrams:
             block = self.x[:, start : start + GRAM_BLOCK_COLUMNS]
             self.gram[rows, cols, start : start + block.shape[1]] = products @ (block * block)
         self.col_sq_max = np.diagonal(self.gram).max(axis=1)
-        self.update(cache)
+        self.u = np.empty((dim, k))
 
-    def update(self, cache: ProjectionCache) -> None:
-        """Project the orthonormal columns of ``cache`` past the first ``m``
-        off every Gram and take the cross products with its residual."""
-        q, r = cache.q[:, self.m :], cache.residual_y
-        k, m, dim = self.x.shape[1], q.shape[1], self.bmat.shape[1]
-        left = np.hstack([_row_products(q, self.bmat), self.bmat * r[:, None]])
-        prod = left.T @ self.x
-        c = prod[: m * dim].reshape(m, dim, k)
+    def project(self, cols: slice, left_t: np.ndarray, out: np.ndarray) -> None:
+        """Downdate the Grams of the candidates ``cols`` and set their cross
+        products, from the rows of one GEMM ``left_t @ x[:, cols]``, written
+        to the front of the flat buffer ``out``: the products (Q_a B_l)^T x,
+        a-major, then (B r)^T x (see ``sweep``)."""
+        dim, x = self.bmat.shape[1], self.x[:, cols]
+        w = x.shape[1]
+        prod = np.matmul(left_t, x, out=out[: left_t.shape[0] * w].reshape(-1, w))
+        c = prod[:-dim].reshape(-1, dim, w)
+        gram = self.gram[:, :, cols]
         for l in range(dim):
-            self.gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
-        # A copy, so that the whole product is freed on return.
-        self.u = prod[m * dim :].copy()
-        self.m = cache.q.shape[1]
+            gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
+        self.u[:, cols] = prod[-dim:]
 
     def block(self, pos: int) -> DesignBlock:
         """The design block of the candidate at position ``pos``."""
         return DesignBlock(int(self.index[pos]), self.bmat * self.x[:, pos : pos + 1])
 
 
-def sweep(grams: CandidateGrams) -> np.ndarray:
-    """Variance drop of every candidate from its downdated Gram.
+def sweep(grams: CandidateGrams, cache: ProjectionCache) -> np.ndarray:
+    """Variance drop of every candidate against the model that ``cache`` factors.
 
-    Candidate i's Gram with the model span projected out is
-    grams.gram[:, :, i], of which only the lower triangle and diagonal are
-    read, and its cross products with the residual are grams.u[:, i]. Each
-    Gram is Cholesky-factored, vectorized over candidates with a loop over
-    its ``dim`` columns. An accepted candidate, and one whose pivot fails
-    the rank rule (degenerate), gets delta = -inf.
+    One pass over the pool, one tile of TILE_COLUMNS candidates at a time.
+    On each tile, ``grams.project`` takes the columns of Q past ``grams.m``
+    off the Grams and sets the cross products with the residual,
+    ``grams.u``; then each of the tile's downdated Grams, of which only the
+    lower triangle and diagonal are read, is Cholesky-factored, vectorized
+    over the tile with a loop over its ``dim`` columns, into scratch
+    allocated once per pass. An accepted candidate, and one whose pivot
+    fails the rank rule (degenerate), gets delta = -inf. Afterwards
+    ``grams.m`` is the width of Q.
 
     Returns the deltas, delta = sigma_sq(S) - sigma_sq(S + candidate) over
     the n observations. Never raises.
     """
-    dim, k = grams.u.shape
-    chol = np.zeros((dim, dim, k))
-    z = np.zeros((dim, k))
-    usable = grams.alive.copy()
-    for j in range(dim):
-        row = chol[j, :j]
-        pivot_sq = grams.gram[j, j] - np.einsum("lk,lk->k", row, row)
-        usable &= _full_rank(pivot_sq, grams.col_sq_max)
-        # A degenerate candidate continues on an infinite pivot, which zeroes
-        # the rest of its factor instead of dividing by a vanishing one.
-        pivot = np.sqrt(np.where(usable, pivot_sq, np.inf))
-        chol[j, j] = pivot
-        below = grams.gram[j + 1 :, j] - np.einsum("ilk,lk->ik", chol[j + 1 :, :j], row)
-        chol[j + 1 :, j] = below / pivot
-        z[j] = (grams.u[j] - np.einsum("lk,lk->k", row, z[:j])) / pivot
-    return np.where(usable, np.einsum("lk,lk->k", z, z) / grams.x.shape[0], -np.inf)
+    bmat, q = grams.bmat, cache.q[:, grams.m :]
+    (n, k), dim = grams.x.shape, bmat.shape[1]
+    left_t = np.hstack([_row_products(q, bmat), bmat * cache.residual_y[:, None]]).T
+    # One buffer per pass, reused by every tile: first the tile's GEMM
+    # product, then its Cholesky factor and z. Every entry read is written
+    # first: column l of the factor's strict lower triangle by pass l, and
+    # z[l] by pass l, before pass j > l reads them.
+    scratch = np.empty(max(left_t.shape[0], dim * dim + dim) * min(k, TILE_COLUMNS))
+    deltas = np.empty(k)
+    for start in range(0, k, TILE_COLUMNS):
+        cols = slice(start, start + TILE_COLUMNS)
+        grams.project(cols, left_t, scratch)
+        gram, u, usable = grams.gram[:, :, cols], grams.u[:, cols], grams.alive[cols].copy()
+        w = usable.size
+        # The factor is stored transposed, chol[l, i] = L[i, l], so that each
+        # new column of L is one contiguous block: numpy updates that in
+        # place, where on a strided view it would copy the operand.
+        chol = scratch[: dim * dim * w].reshape(dim, dim, w)
+        z = scratch[dim * dim * w : (dim * dim + dim) * w].reshape(dim, w)
+        for j in range(dim):
+            row = chol[:j, j]
+            pivot_sq = gram[j, j] - np.einsum("lk,lk->k", row, row)
+            usable &= _full_rank(pivot_sq, grams.col_sq_max[cols])
+            # A degenerate candidate continues on an infinite pivot, which
+            # zeroes the rest of its factor instead of dividing by a
+            # vanishing one.
+            pivot = np.sqrt(np.where(usable, pivot_sq, np.inf))
+            col = chol[j, j + 1 :]
+            np.einsum("lik,lk->ik", chol[:j, j + 1 :], row, out=col)
+            np.subtract(gram[j + 1 :, j], col, out=col)
+            col /= pivot
+            np.einsum("lk,lk->k", row, z[:j], out=z[j])
+            np.subtract(u[j], z[j], out=z[j])
+            z[j] /= pivot
+        deltas[cols] = np.where(usable, np.einsum("lk,lk->k", z, z) / n, -np.inf)
+    grams.m = cache.q.shape[1]
+    return deltas
 
 
 def predict_response(

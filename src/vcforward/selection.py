@@ -172,18 +172,24 @@ def _exact_score(cache: ProjectionCache, new: ProjectionCache, criterion: str) -
 
 def _confirmed_winner(
     cache: ProjectionCache, grams: CandidateGrams, scores: np.ndarray, criterion: str
-) -> int | None:
-    """Position of the winner among the pool's alive candidates, None when
-    none is usable.
+) -> tuple[int, ProjectionCache] | None:
+    """The winner among the pool's alive candidates, as its position and its
+    factor extension of ``cache``; None when none is usable.
 
     ``scores`` come from the downdated Grams. Every alive candidate whose
     score lies within CONFIRM_REL_TOL of the best is re-scored on its factor
     extension (-inf when its block fails the rank rule there), and again for
-    any that come within the slack of a lower confirmed best, so the winner
-    and its ties are always decided by exact scores.
+    any that come within the slack of a lower confirmed best; the winner is
+    the best re-scored candidate. A candidate whose Gram score is further
+    below its exact score than the slack is never re-scored, which can
+    happen near the rank rule's edge, where a downdated Gram squares the
+    block's condition number. An extension is kept only while it can still
+    win, that is while no earlier position scores at least as well, so
+    exact ties hold one.
     """
     exact = np.full(scores.size, -np.inf)
     checked = ~grams.alive
+    kept: dict[int, ProjectionCache] = {}
     while True:
         current = np.where(checked, exact, scores)
         best = current.max()
@@ -193,14 +199,18 @@ def _confirmed_winner(
         todo = np.nonzero(~checked & (current >= best * (1.0 - CONFIRM_REL_TOL)))[0]
         if not todo.size:
             break
-        for pos in todo:
+        for pos in todo.tolist():
             try:
                 new = extend_cache(cache, grams.block(pos))
             except SingularDesignError:
                 continue
-            exact[pos] = _exact_score(cache, new, criterion)
+            score = exact[pos] = _exact_score(cache, new, criterion)
+            if all(q > pos or exact[q] < score for q in kept):
+                kept = {q: e for q, e in kept.items() if q < pos or exact[q] > score}
+                kept[pos] = new
         checked[todo] = True
-    return _argbest(exact)
+    pos = _argbest(exact)
+    return None if pos is None else (pos, kept[pos])
 
 
 def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
@@ -244,7 +254,7 @@ def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
                 "covariates before it"
             )
         raise SingularDesignError(message, j) from exc
-    return initial, cache, CandidateGrams(bmat, dataset.x, pool_idx, cache)
+    return initial, cache, CandidateGrams(bmat, dataset.x, pool_idx)
 
 
 def run_forward(
@@ -296,16 +306,11 @@ def run_forward(
     best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
     while len(steps) < max_steps and grams.alive.any() and streak < config.patience:
-        # An accepted block comes off the Grams only before the sweep that
-        # needs it, so a pass that stops after a step makes no update.
-        if grams.m < cache.q.shape[1]:
-            grams.update(cache)
-        scores = _scores(sweep(grams), grams.u, criterion)
-        pos = _confirmed_winner(cache, grams, scores, criterion)
-        if pos is None:
+        scores = _scores(sweep(grams, cache), grams.u, criterion)
+        winner = _confirmed_winner(cache, grams, scores, criterion)
+        if winner is None:
             break
-        # Cannot fail: the confirmation made this same extension of this factor.
-        cache = extend_cache(cache, grams.block(pos))
+        pos, cache = winner
         grams.alive[pos] = False
         # The model before this step is read off its record: no old factor is kept.
         sigma_last, ebic_last = (steps[-1].sigma_sq, steps[-1].ebic) if steps else (sigma0, ebic0)
@@ -345,6 +350,6 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     _, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
     # exact fit first.
-    sigma_j = cache.sigma_sq - sweep(grams)
+    sigma_j = cache.sigma_sq - sweep(grams, cache)
     order = np.argsort(np.where(sigma_j > 0.0, sigma_j, -np.inf), kind="stable")
     return grams.index[order[:keep_k]].tolist()

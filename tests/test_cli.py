@@ -536,6 +536,25 @@ def test_select_rejects_clashing_column_names(tmp_path, capsys, names, bad):
     assert not out.exists()
 
 
+def test_select_rejects_a_covariate_of_unsafe_magnitude(tmp_path, capsys):
+    rng = np.random.default_rng(3)
+    n = 300
+    t = rng.random(n)
+    x = rng.standard_normal((n, 6))
+    y = 2.0 * x[:, 0] * (1.0 + t) + x[:, 1] + rng.standard_normal(n)
+    x[:, 1] *= 1e-200
+    path = tmp_path / "tiny_x2.csv"
+    header = "y,t," + ",".join(f"x{j}" for j in range(1, 7))
+    cells = np.column_stack([y, t, x])
+    np.savetxt(path, cells, fmt="%.17g", delimiter=",", header=header, comments="")
+    out = tmp_path / "r.json"
+    argv = ["select", "--data", str(path), "--y-column", "y", "--t-column", "t", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "covariate 'x2' has largest magnitude" in err
+    assert not out.exists()
+
+
 def test_select_excludes_constant_columns_and_reports_them(tmp_path, capsys):
     # Covariates: c_first (constant), x1 (signal), zeros (0.0 and -0.0
     # mixed, so constant), x2, c_last (constant).

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vcforward as vf
+from vcforward import data
 from vcforward.cli import main
 from vcforward.errors import DataError
 from vcforward.report import (
@@ -345,6 +346,47 @@ def test_load_csv_first_row_width_errors_give_the_row_width(tmp_path, text, outc
         vf.load_csv(path, "y", "t")
 
 
+def _scaled_ex1(column, scale):
+    """ex1 (n=400, p=50, seed 3, rep 0) with y or x1 multiplied by ``scale``."""
+    train, _ = vf.generate(vf.SimScenario("ex1", n=400, p=50, seed=3, reps=1), 0)
+    y, x = train.y.copy(), train.x[:, 1:].copy()
+    if column == "y":
+        y *= scale
+    else:
+        x[:, 0] *= scale
+    return y, train.t, x
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e-160, 1e-200])
+@pytest.mark.parametrize("column,name", [("y", "the response"), ("x1", "covariate 'x1'")])
+def test_dataset_rejects_magnitudes_outside_the_safe_range(column, name, scale):
+    # Unchecked, these scales select wrongly: overflowed squares past 1e154,
+    # subnormal ones (a score error of 1.5e-4 at 1e-160) and zero ones below.
+    y, t, x = _scaled_ex1(column, scale)
+    with pytest.raises(DataError, match=f"^{name} has largest magnitude .* outside"):
+        vf.from_arrays(y, t, x)
+
+
+@pytest.mark.parametrize(
+    "column,scale", [("x1", 1e150), ("x1", 1e-145), ("y", 1e149), ("y", 1e-145)]
+)
+def test_dataset_accepts_magnitudes_in_the_safe_range(column, scale):
+    # Inside the range (largest magnitudes 3.3e150 and 3.3e-145 for x1,
+    # 1.6e150 and 1.6e-144 for y), selection is the unscaled one.
+    basis = vf.build_basis(7, 4)
+    ds = vf.from_arrays(*_scaled_ex1(column, scale))
+    trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0))
+    assert trace.final_set == (0, 3, 1, 4, 2)
+
+
+def test_dataset_scale_check_spares_constant_columns_and_a_zero_response():
+    n = 30
+    t = np.linspace(0.0, 1.0, n)
+    x = np.column_stack([np.full(n, 1e200), np.full(n, 1e-200), np.linspace(-1.0, 1.0, n)])
+    ds = vf.from_arrays(np.zeros(n), t, x)
+    assert ds.constant_columns == (1, 2)
+
+
 def test_dataset_checks_finiteness_without_a_full_mask():
     # An n x (p+1) bool mask would be 4.0 MB here; the per-column extremes
     # and the name check stay under 1 MB.
@@ -400,11 +442,16 @@ def test_load_parses_bit_identical_to_python_float(tmp_path):
     path = tmp_path / "precise.csv"
     _write_csv(path, ["y", "t", "a", "b"], cells)
     want = np.array([[float(c) for c in row] for row in cells])
-    ds = vf.load_csv(path, "y", "t")
-    got = np.column_stack([ds.y, ds.t, ds.x[:, 1:]])
+    # Magnitudes this far apart are parsed exactly, and then rejected by the
+    # dataset's scale check, so the cells are read as load_csv reads them.
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        got = data._parse_cells(fh, path, header)
     assert np.array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    assert np.signbit(ds.y[0])
+    assert np.signbit(got[0, 0])
+    with pytest.raises(DataError, match="the response has largest magnitude"):
+        vf.load_csv(path, "y", "t")
 
 
 def test_load_peak_memory_is_a_few_matrices(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import vcforward as vf
-from vcforward import selection
+from vcforward import regression, selection
 from vcforward.errors import ConfigError, NumericalError, SingularDesignError
 from vcforward.regression import CandidateGrams, sweep
 
@@ -225,28 +225,33 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
     bmat = vf.basis_matrix(basis, t)
     cache = vf.build_projection_cache([vf.DesignBlock(0, bmat), vf.DesignBlock(1, bmat * x[:, :1])], y)
     xfull = np.column_stack([np.ones(n), x])
-    grams = CandidateGrams(bmat, xfull, np.array([2, 3, 4]), cache)
+    grams = CandidateGrams(bmat, xfull, np.array([2, 3, 4]))
     # The explicit reference: each candidate's drop on its extended factor.
-    drops = {}
+    drops, extensions = {}, {}
     for j in (2, 3, 4):
         try:
-            extended = vf.extend_cache(cache, vf.DesignBlock(j, bmat * x[:, j - 1 : j]))
-            drops[j] = cache.sigma_sq - extended.sigma_sq
+            extensions[j] = vf.extend_cache(cache, vf.DesignBlock(j, bmat * x[:, j - 1 : j]))
+            drops[j] = cache.sigma_sq - extensions[j].sigma_sq
         except SingularDesignError:
             drops[j] = -np.inf
     assert max(drops, key=drops.get) == 3
     for scores in ([1e9, 1.0, 2.0], [1e9, 2.0, 2.0 * (1.0 + 1e-7)], [np.inf, 0.5, 0.0]):
-        pos = selection._confirmed_winner(cache, grams, np.array(scores), "argmin_sigma")
+        pos, extended = selection._confirmed_winner(cache, grams, np.array(scores), "argmin_sigma")
         assert pos == 1
+        # The winner comes with its factor extension, the step's next model.
+        assert extended.index_set == (0, 1, 3)
+        np.testing.assert_array_equal(extended.q, extensions[3].q)
+        assert extended.sigma_sq == extensions[3].sigma_sq
     grams.alive[:] = False
     dead = selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]), "argmin_sigma")
     assert dead is None
     # Many exact ties, each re-scored on its own factor extension: the tie
     # goes to the first position.
-    copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), np.arange(300), cache)
+    copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), np.arange(300))
     scores = np.ones(300)
-    pos = selection._confirmed_winner(cache, copies, scores, "argmin_sigma")
+    pos, extended = selection._confirmed_winner(cache, copies, scores, "argmin_sigma")
     assert pos == 0
+    assert extended.index_set == (0, 1, 0)
 
 
 def test_run_forward_memory_stays_below_the_candidate_tensor():
@@ -297,10 +302,9 @@ def test_candidate_grams_hold_only_grams_and_cross_products():
     x = rng.standard_normal((n, p))
     basis = vf.build_basis(7, 4)
     bmat = vf.basis_matrix(basis, rng.random(n))
-    cache = vf.build_projection_cache([vf.DesignBlock(0, bmat)], rng.standard_normal(n))
     tracemalloc.start()
     try:
-        grams = CandidateGrams(bmat, x, np.arange(p), cache)
+        grams = CandidateGrams(bmat, x, np.arange(p))
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -309,16 +313,20 @@ def test_candidate_grams_hold_only_grams_and_cross_products():
 
 
 def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
-    # One update in set-up, then one before each later sweep: a pass that
-    # stops on patience or max_steps after a step does not update again.
-    calls = []
-    update = CandidateGrams.update
+    # Each sweep projects the factor columns its pool has not seen: the
+    # intercept's 7 in the first, the last accepted block's 7 in each later
+    # one. A pass that stops on patience or max_steps after a step sweeps,
+    # and so projects, no more. The pool is one tile, so one projection
+    # per sweep.
+    calls, pools = [], []
+    project = CandidateGrams.project
 
-    def counting(self, cache):
-        calls.append(cache.q.shape[1] - self.m)
-        update(self, cache)
+    def counting(self, cols, left_t, out):
+        calls.append(left_t.shape[0] // self.bmat.shape[1] - 1)
+        pools.append(self)
+        project(self, cols, left_t, out)
 
-    monkeypatch.setattr(CandidateGrams, "update", counting)
+    monkeypatch.setattr(CandidateGrams, "project", counting)
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
     train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
@@ -327,6 +335,8 @@ def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
         trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, max_steps=max_steps))
         assert (trace.stop_reason, len(trace.steps)) == (stop, steps)
         assert calls == [7] * steps
+        # The factor has 7 (steps + 1) columns; the last block's never came off.
+        assert pools[-1].m == 7 * steps
 
 
 def test_run_forward_sweeps_once_per_step_and_once_when_the_pool_runs_dry(monkeypatch):
@@ -359,6 +369,117 @@ def test_run_forward_sweeps_once_per_step_and_once_when_the_pool_runs_dry(monkey
         assert len(calls) == steps + extra, (trace.stop_reason, steps)
         dry += extra
     assert dry >= 1
+
+
+def test_each_step_extends_the_factor_once_per_short_listed_candidate(monkeypatch):
+    # The confirmation's extension of the winner is the step's next model:
+    # per pass, extend_cache runs once per initial block and once per
+    # short-listed candidate, and never a second time for the winner. A
+    # duplicated covariate puts two exact ties on a short-list.
+    calls, short_lists = [], []
+    extend, scores_of = regression.extend_cache, selection._scores
+
+    def counting(cache, block):
+        calls.append((cache.index_set, block.covariate_index))
+        return extend(cache, block)
+
+    def short_listing(deltas, u, criterion):
+        scores = scores_of(deltas, u, criterion)
+        best = scores.max()
+        grams = pools[-1]
+        near = grams.alive & (scores >= best * (1.0 - selection.CONFIRM_REL_TOL))
+        short_lists.append(grams.index[near].tolist())
+        return scores
+
+    pools = []
+    start = selection._start
+
+    def starting(*args):
+        initial, cache, grams = start(*args)
+        pools.append(grams)
+        return initial, cache, grams
+
+    monkeypatch.setattr(regression, "extend_cache", counting)
+    monkeypatch.setattr(selection, "extend_cache", counting)
+    monkeypatch.setattr(selection, "_scores", short_listing)
+    monkeypatch.setattr(selection, "_start", starting)
+    sc = vf.SimScenario("ex2", n=400, p=200, t1=2.0, t2=1.0, seed=5, reps=1)
+    train, _ = vf.generate(sc, 0)
+    x = train.x[:, 1:].copy()
+    x[:, 9] = x[:, 0]
+    ds = vf.from_arrays(train.y, train.t, x)
+    for criterion in selection.CRITERIA:
+        calls.clear()
+        short_lists.clear()
+        trace = vf.run_forward(
+            ds, vf.build_basis(7, 4), vf.EbicConfig(eta=0.0), criterion=criterion
+        )
+        assert [1, 10] in short_lists
+        assert 10 not in trace.final_set
+        assert calls[:1] == [((), 0)]
+        accepted = [s.index for s in trace.steps]
+        models = [trace.initial_set + tuple(accepted[:i]) for i in range(len(short_lists))]
+        want = [(model, j) for model, listed in zip(models, short_lists) for j in listed]
+        assert calls[1:] == want
+        assert len(set(calls)) == len(calls) == 1 + sum(map(len, short_lists))
+
+
+def test_sweep_and_run_forward_do_not_depend_on_the_tile_width(monkeypatch):
+    # About 1000 candidates, swept in tiles of 7, of 300 (which does not
+    # divide the pool) and in one tile. Each candidate's arithmetic is the
+    # same in every tile, but OpenBLAS's GEMM makes a column's last bits
+    # depend on the number of columns it is given, so the deltas agree to
+    # 1e-12 relative (8e-15 measured), and bitwise in one tile.
+    sc = vf.SimScenario("ex2", n=400, p=1000, t1=2.0, t2=1.0, seed=5, reps=1)
+    train, _ = vf.generate(sc, 0)
+    basis = vf.build_basis(7, 4)
+
+    def run(width):
+        monkeypatch.setattr(regression, "TILE_COLUMNS", width)
+        _, cache, grams = selection._start(train, basis, (0,), None)
+        first = sweep(grams, cache)
+        second = sweep(grams, vf.extend_cache(cache, grams.block(int(np.argmax(first)))))
+        return (first, second), vf.run_forward(train, basis, vf.EbicConfig(eta=0.0))
+
+    deltas, trace = run(train.p)
+    assert len(trace.steps) > 5
+    for width in (7, 300, train.p, 2 * train.p):
+        got, other = run(width)
+        for a, b in zip(got, deltas):
+            assert (np.isfinite(a) == np.isfinite(b)).all()
+            if width >= train.p:
+                np.testing.assert_array_equal(a, b)
+            else:
+                fin = np.isfinite(b)
+                np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12, atol=0.0)
+        assert other == trace
+        np.testing.assert_array_equal(other.final_cache.r, trace.final_cache.r)
+        np.testing.assert_array_equal(other.final_cache.q, trace.final_cache.q)
+
+
+def test_a_steps_scratch_does_not_grow_with_the_pool():
+    # Traced peak of a pass, less the memory before it and the Grams, cross
+    # products and rank-rule scales the pool holds (dim^2 + dim + 1 floats
+    # per candidate): 2.51 MB at p=2000 (one tile) and 2.66 MB at p=8000
+    # (two). With the whole pool swept at once it was 2.56 and 5.03 MB.
+    n, dim = 400, 7
+    basis = vf.build_basis(7, 4)
+    assert basis.dim == dim
+    for p in (2000, 8000):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((n, p))
+        t = rng.random(n)
+        ds = vf.from_arrays(2.0 * x[:, 0] * t + rng.standard_normal(n), t, x)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, max_steps=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.steps) == 3
+        scratch = peak - before - p * (dim * dim + dim + 1) * 8
+        assert scratch < 3.0e6, f"p={p}: {scratch / 1e6:.2f} MB of scratch"
 
 
 def test_run_forward_noise_keeps_intercept_mostly():
@@ -500,14 +621,14 @@ def test_candidate_pool_owns_its_indices_blocks_and_live_mask():
     x = rng.standard_normal((60, 6))
     ds = vf.from_arrays(rng.standard_normal(60), rng.random(60), x)
     basis = vf.build_basis(5, 4)
-    _, _, grams = selection._start(ds, basis, (0, 5), [6, 3, 0, 6, 5, 1])
+    _, cache, grams = selection._start(ds, basis, (0, 5), [6, 3, 0, 6, 5, 1])
     assert grams.index.tolist() == [1, 3, 6]
     block = grams.block(1)
     assert isinstance(block, vf.DesignBlock) and block.covariate_index == 3
     np.testing.assert_array_equal(block.matrix, vf.basis_matrix(basis, ds.t) * ds.x[:, 3:4])
-    assert np.isfinite(sweep(grams)).all()
+    assert np.isfinite(sweep(grams, cache)).all()
     grams.alive[1] = False
-    assert sweep(grams)[1] == -np.inf
+    assert sweep(grams, cache)[1] == -np.inf
 
 
 def test_run_forward_exact_fit_on_zero_response():
