@@ -129,11 +129,14 @@ def _parse_initial(arg: str, column_names) -> tuple[int, ...]:
             continue
         if item in names:
             out.append(names[item])
-        else:
-            try:
-                out.append(int(item))
-            except ValueError:
-                raise ConfigError(f"unknown initial covariate {item!r}") from None
+            continue
+        try:
+            j = int(item)
+        except ValueError:
+            raise ConfigError(f"unknown initial covariate {item!r}") from None
+        if not 0 <= j < len(column_names):
+            raise ConfigError(f"initial covariate {item!r} is out of range [0, {len(column_names) - 1}]")
+        out.append(j)
     if not out:
         raise ConfigError(f"--initial {arg!r} names no covariate; use 'empty' for the empty model")
     return tuple(out)
@@ -160,6 +163,7 @@ def cmd_select(args) -> int:
     config, criterion = _stopping_rule(args)
     basis = build_basis(args.L, args.order)
     dataset = load_csv(args.data, args.y_column, args.t_column, min_rows=2 * args.L)
+    _check_screen_k(args.screen_k, dataset.p)
 
     warnings: list[str] = []
     if dataset.rescale_map != (0.0, 1.0):
@@ -248,10 +252,7 @@ def _read_scenario_file(path) -> dict:
 
 
 def _apply_settings(args, file_values: dict) -> None:
-    """Set every SETTINGS key on ``args``: its flag, else the scenario file, else its default.
-
-    Raises ConfigError for a negative resolved ``screen_k``, wherever it came from.
-    """
+    """Set every SETTINGS key on ``args``: its flag, else the scenario file, else its default."""
     for key, (cast, default) in SETTINGS.items():
         if getattr(args, key, None) is not None:
             continue
@@ -264,9 +265,13 @@ def _apply_settings(args, file_values: dict) -> None:
                     f"scenario key {key!r} has invalid value {file_values[key]!r}"
                 ) from None
         setattr(args, key, value)
-    # 0 is "off"; a value above p is rejected by the screen itself.
-    if args.screen_k < 0:
-        raise ConfigError(f"screen_k must be at least 0 (0 = off), got {args.screen_k}")
+
+
+def _check_screen_k(screen_k: int, p: int) -> None:
+    """Raise ConfigError unless the resolved ``screen_k``, from a flag or a
+    scenario file, is 0 (off) or a screen size within the p covariates."""
+    if not 0 <= screen_k <= p:
+        raise ConfigError(f"screen_k must be in [0, {p}] (0 = off), got {screen_k}")
 
 
 def cmd_simulate(args) -> int:
@@ -284,6 +289,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         reps=args.reps,
     )
+    _check_screen_k(args.screen_k, scenario.p)
     config, criterion = _stopping_rule(args)
     build_basis(args.L, args.order)  # validate early
     # Its own stream, so computing it first also validates --snr-samples

@@ -161,7 +161,7 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class CandidateGrams:
     """The candidate pool: sorted covariate ``index``, the ``alive`` mask of
-    those not yet accepted, and the kernel inputs of their blocks
+    those not yet accepted, and the Grams of their blocks
     W_j = diag(x_j) B, with the first ``m`` columns of Q projected out.
 
     With B the (n, dim) basis matrix and x the (n, k) pool columns (a view
@@ -169,14 +169,12 @@ class CandidateGrams:
     raw Grams are GEMMs (B_l B_m)^T x^2 over the lower triangle l >= m, one
     block of GRAM_BLOCK_COLUMNS columns of x at a time, and their diagonals
     give the rank rule's scale. ``sweep`` takes the model's orthonormal
-    columns Q off them as G_j - C_j^T C_j with C = (Q_a B_l)^T x, and the
-    cross products with the residual r, which is orthogonal to Q, as
-    (B r)^T x, one tile of TILE_COLUMNS candidates at a time. So memory
-    stays O(n k + k dim^2), held, plus O(TILE_COLUMNS dim^2 + n dim^2) per
-    sweep: no (n, k, dim) stack is formed. Only the lower triangle and
-    diagonal of ``gram`` are kept, which is all ``sweep`` reads, and the
-    upper triangle is zero; ``u`` holds the cross products of the last
-    sweep.
+    columns Q off them as G_j - C_j^T C_j with C = (Q_a B_l)^T x, one tile
+    of TILE_COLUMNS candidates at a time. The pool holds dim^2 + 1 floats
+    per candidate, the Grams and the scale, besides x: no (n, k, dim) stack
+    is formed, and nothing of a sweep outlives it. Only the lower triangle
+    and diagonal of ``gram`` are kept, which is all ``sweep`` reads, and the
+    upper triangle is zero.
 
     A downdated Gram squares each block's condition number, so a winner is
     confirmed on its QR factor extension (``block``, ``extend_cache``).
@@ -201,62 +199,60 @@ class CandidateGrams:
             block = self.x[:, start : start + GRAM_BLOCK_COLUMNS]
             self.gram[rows, cols, start : start + block.shape[1]] = products @ (block * block)
         self.col_sq_max = np.diagonal(self.gram).max(axis=1)
-        self.u = np.empty((dim, k))
-
-    def project(self, cols: slice, left_t: np.ndarray, out: np.ndarray) -> None:
-        """Downdate the Grams of the candidates ``cols`` and set their cross
-        products, from the rows of one GEMM ``left_t @ x[:, cols]``, written
-        to the front of the flat buffer ``out``: the products (Q_a B_l)^T x,
-        a-major, then (B r)^T x (see ``sweep``)."""
-        dim, x = self.bmat.shape[1], self.x[:, cols]
-        w = x.shape[1]
-        prod = np.matmul(left_t, x, out=out[: left_t.shape[0] * w].reshape(-1, w))
-        c = prod[:-dim].reshape(-1, dim, w)
-        gram = self.gram[:, :, cols]
-        for l in range(dim):
-            gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
-        self.u[:, cols] = prod[-dim:]
 
     def block(self, pos: int) -> DesignBlock:
         """The design block of the candidate at position ``pos``."""
         return DesignBlock(int(self.index[pos]), self.bmat * self.x[:, pos : pos + 1])
 
 
-def sweep(grams: CandidateGrams, cache: ProjectionCache) -> np.ndarray:
-    """Variance drop of every candidate against the model that ``cache`` factors.
+def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.ndarray:
+    """Score under ``criterion`` of every candidate against the model that
+    ``cache`` factors.
 
     One pass over the pool, one tile of TILE_COLUMNS candidates at a time.
-    On each tile, ``grams.project`` takes the columns of Q past ``grams.m``
-    off the Grams and sets the cross products with the residual,
-    ``grams.u``; then each of the tile's downdated Grams, of which only the
-    lower triangle and diagonal are read, is Cholesky-factored, vectorized
-    over the tile with a loop over its ``dim`` columns, into scratch
-    allocated once per pass. An accepted candidate, and one whose pivot
-    fails the rank rule (degenerate), gets delta = -inf. Afterwards
+    On each tile, one GEMM gives the products (Q_a B_l)^T x over the
+    columns of Q past ``grams.m``, which downdate the Grams, and the cross
+    products u = (B r)^T x with the residual; then each of the tile's
+    downdated Grams, of which only the lower triangle and diagonal are
+    read, is Cholesky-factored, vectorized over the tile with a loop over
+    its ``dim`` columns, and z = L^-1 u is solved alongside. Afterwards
     ``grams.m`` is the width of Q.
 
-    Returns the deltas, delta = sigma_sq(S) - sigma_sq(S + candidate) over
-    the n observations. Never raises.
+    Under "argmin_sigma" a candidate scores its variance drop
+    sigma_sq(S) - sigma_sq(S + candidate) = z.z / n, under "argmax_corr"
+    ||u||. An accepted candidate, and one whose pivot fails the rank rule
+    (degenerate), scores -inf. Never raises.
     """
     bmat, q = grams.bmat, cache.q[:, grams.m :]
     (n, k), dim = grams.x.shape, bmat.shape[1]
     left_t = np.hstack([_row_products(q, bmat), bmat * cache.residual_y[:, None]]).T
     # One buffer per pass, reused by every tile: first the tile's GEMM
     # product, then its Cholesky factor and z. Every entry read is written
-    # first: column l of the factor's strict lower triangle by pass l, and
-    # z[l] by pass l, before pass j > l reads them.
+    # first: u is copied into z's place once the downdate has read the
+    # product (both are dim x w blocks at multiples of dim w, so they are
+    # the same region or disjoint), column l of the factor's strict lower
+    # triangle is written by pass l, before pass j > l reads it, and z[j] is
+    # solved in place.
     scratch = np.empty(max(left_t.shape[0], dim * dim + dim) * min(k, TILE_COLUMNS))
-    deltas = np.empty(k)
+    scores = np.empty(k)
     for start in range(0, k, TILE_COLUMNS):
         cols = slice(start, start + TILE_COLUMNS)
-        grams.project(cols, left_t, scratch)
-        gram, u, usable = grams.gram[:, :, cols], grams.u[:, cols], grams.alive[cols].copy()
-        w = usable.size
+        x = grams.x[:, cols]
+        w = x.shape[1]
+        prod = np.matmul(left_t, x, out=scratch[: left_t.shape[0] * w].reshape(-1, w))
+        c = prod[:-dim].reshape(-1, dim, w)
+        gram = grams.gram[:, :, cols]
+        for l in range(dim):
+            gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
         # The factor is stored transposed, chol[l, i] = L[i, l], so that each
         # new column of L is one contiguous block: numpy updates that in
         # place, where on a strided view it would copy the operand.
         chol = scratch[: dim * dim * w].reshape(dim, dim, w)
         z = scratch[dim * dim * w : (dim * dim + dim) * w].reshape(dim, w)
+        z[...] = prod[-dim:]
+        if criterion == "argmax_corr":
+            scores[cols] = np.linalg.norm(z, axis=0)
+        usable = grams.alive[cols].copy()
         for j in range(dim):
             row = chol[:j, j]
             pivot_sq = gram[j, j] - np.einsum("lk,lk->k", row, row)
@@ -269,12 +265,13 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache) -> np.ndarray:
             np.einsum("lik,lk->ik", chol[:j, j + 1 :], row, out=col)
             np.subtract(gram[j + 1 :, j], col, out=col)
             col /= pivot
-            np.einsum("lk,lk->k", row, z[:j], out=z[j])
-            np.subtract(u[j], z[j], out=z[j])
+            z[j] -= np.einsum("lk,lk->k", row, z[:j])
             z[j] /= pivot
-        deltas[cols] = np.where(usable, np.einsum("lk,lk->k", z, z) / n, -np.inf)
+        if criterion == "argmin_sigma":
+            scores[cols] = np.einsum("lk,lk->k", z, z) / n
+        scores[cols][~usable] = -np.inf
     grams.m = cache.q.shape[1]
-    return deltas
+    return scores
 
 
 def predict_response(

@@ -138,23 +138,6 @@ class SelectionTrace:
         return [self.ebic_initial] + [s.ebic for s in self.steps]
 
 
-def _argbest(scores: np.ndarray) -> int | None:
-    """Position of the largest score, None when no score is finite; near-ties
-    go to the earliest position."""
-    smax = scores.max()
-    if not np.isfinite(smax):
-        return None
-    tol = TIE_REL_TOL * abs(smax)
-    return int(np.nonzero(scores >= smax - tol)[0][0])
-
-
-def _scores(deltas: np.ndarray, u: np.ndarray, criterion: str) -> np.ndarray:
-    """Candidate scores under ``criterion``; degenerate candidates get -inf."""
-    if criterion == "argmin_sigma":
-        return deltas
-    return np.where(np.isfinite(deltas), np.linalg.norm(u, axis=0), -np.inf)
-
-
 def _exact_score(cache: ProjectionCache, new: ProjectionCache, criterion: str) -> float:
     """Score under ``criterion`` of the block that extends ``cache`` to ``new``.
 
@@ -176,27 +159,29 @@ def _confirmed_winner(
     """The winner among the pool's alive candidates, as its position and its
     factor extension of ``cache``; None when none is usable.
 
-    ``scores`` come from the downdated Grams. Every alive candidate whose
-    score lies within CONFIRM_REL_TOL of the best is re-scored on its factor
-    extension (-inf when its block fails the rank rule there), and again for
-    any that come within the slack of a lower confirmed best; the winner is
-    the best re-scored candidate. A candidate whose Gram score is further
-    below its exact score than the slack is never re-scored, which can
-    happen near the rank rule's edge, where a downdated Gram squares the
-    block's condition number. An extension is kept only while it can still
-    win, that is while no earlier position scores at least as well, so
-    exact ties hold one.
+    ``scores`` are the step's ``sweep`` of the downdated Grams, which this
+    overwrites. Every alive candidate whose score lies within
+    CONFIRM_REL_TOL of the best is re-scored on its factor extension
+    (skipped when its block fails the rank rule there), and again for any
+    that come within the slack of a lower confirmed best; a re-scored
+    candidate's Gram score becomes -inf. The winner is the best re-scored
+    candidate, near-ties within TIE_REL_TOL going to the earliest position.
+    A candidate whose Gram score is further below its exact score than the
+    slack is never re-scored, which can happen near the rank rule's edge,
+    where a downdated Gram squares the block's condition number. Only the
+    short-list is held: its exact scores, and an extension only while it
+    can still win, that is while no earlier position scores at least as
+    well, so exact ties hold one.
     """
-    exact = np.full(scores.size, -np.inf)
-    checked = ~grams.alive
+    scores[~grams.alive] = -np.inf
+    exact: dict[int, float] = {}
     kept: dict[int, ProjectionCache] = {}
     while True:
-        current = np.where(checked, exact, scores)
-        best = current.max()
+        best = max(scores.max(), max(exact.values(), default=-np.inf))
         if best == -np.inf:
             break
         # Scores are nonnegative, and an overflowed one (+inf) is re-scored too.
-        todo = np.nonzero(~checked & (current >= best * (1.0 - CONFIRM_REL_TOL)))[0]
+        todo = np.nonzero(scores >= best * (1.0 - CONFIRM_REL_TOL))[0]
         if not todo.size:
             break
         for pos in todo.tolist():
@@ -208,9 +193,12 @@ def _confirmed_winner(
             if all(q > pos or exact[q] < score for q in kept):
                 kept = {q: e for q, e in kept.items() if q < pos or exact[q] > score}
                 kept[pos] = new
-        checked[todo] = True
-    pos = _argbest(exact)
-    return None if pos is None else (pos, kept[pos])
+        scores[todo] = -np.inf
+    best = max(exact.values(), default=-np.inf)
+    if not math.isfinite(best):
+        return None
+    pos = min(q for q, e in exact.items() if e >= best - TIE_REL_TOL * abs(best))
+    return pos, kept[pos]
 
 
 def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
@@ -306,8 +294,7 @@ def run_forward(
     best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
     while len(steps) < max_steps and grams.alive.any() and streak < config.patience:
-        scores = _scores(sweep(grams, cache), grams.u, criterion)
-        winner = _confirmed_winner(cache, grams, scores, criterion)
+        winner = _confirmed_winner(cache, grams, sweep(grams, cache, criterion), criterion)
         if winner is None:
             break
         pos, cache = winner
@@ -350,6 +337,6 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     _, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
     # exact fit first.
-    sigma_j = cache.sigma_sq - sweep(grams, cache)
+    sigma_j = cache.sigma_sq - sweep(grams, cache, "argmin_sigma")
     order = np.argsort(np.where(sigma_j > 0.0, sigma_j, -np.inf), kind="stable")
     return grams.index[order[:keep_k]].tolist()

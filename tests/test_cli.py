@@ -106,6 +106,19 @@ def test_select_initial_naming_no_covariate_is_usage_error(tmp_path, capsys, ini
     assert not out.exists()
 
 
+@pytest.mark.parametrize("initial", ["99999", "-1", "intercept,6"])
+def test_select_initial_index_out_of_range_is_usage_error(tmp_path, capsys, initial):
+    # Like an unknown name: an integer outside [0, p] (p = 5) is named, and
+    # no report is written.
+    data = _noise_csv(tmp_path / "noise.csv")
+    out = tmp_path / "report.json"
+    argv = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t"]
+    assert main(argv + [f"--initial={initial}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and repr(initial.split(",")[-1]) in err
+    assert not out.exists()
+
+
 def test_select_missing_file_is_data_error(tmp_path, capsys):
     code = main(
         ["select", "--data", str(tmp_path / "absent.csv"), "--y-column", "y", "--t-column", "t"]
@@ -438,21 +451,26 @@ def test_simulate_rejects_workers_below_one_before_any_rep(
 
 def test_negative_screen_k_is_usage_error(tmp_path, monkeypatch, capsys):
     # From a flag for either command, or from a scenario file; 0 stays off.
+    # So is a screen larger than p (5 covariates in the CSV, 50 simulated),
+    # found before the SNR estimate and any rep.
     calls = []
     monkeypatch.setattr(cli, "_rep_task", calls.append)
+    monkeypatch.setattr(cli, "snr", calls.append)
     data = _noise_csv(tmp_path / "noise.csv")
-    scen = tmp_path / "scenario.txt"
-    scen.write_text("example=ex1\np=50\nreps=2\nscreen_k=-5\n", encoding="utf-8")
     out = tmp_path / "out.json"
     select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t"]
-    for args in (
-        select + ["--screen-k", "-5"],
-        ["simulate", "--example", "ex1", "--p", "50", "--reps", "2", "--screen-k", "-5"],
-        ["simulate", "--scenario", str(scen)],
-    ):
-        assert main(args + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "usage error" in err and "screen_k" in err and "-5" in err
+    simulate = ["simulate", "--example", "ex1", "--p", "50", "--reps", "2"]
+    for value in ("-5", "80"):
+        scen = tmp_path / "scenario.txt"
+        scen.write_text(f"example=ex1\np=50\nreps=2\nscreen_k={value}\n", encoding="utf-8")
+        for args in (
+            select + ["--screen-k", value],
+            simulate + ["--screen-k", value],
+            ["simulate", "--scenario", str(scen)],
+        ):
+            assert main(args + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "usage error" in err and "screen_k" in err and value in err
     assert calls == [] and not out.exists()
     assert main(select + ["--L", "5", "--screen-k", "0", "--out", str(out)]) == 0
 

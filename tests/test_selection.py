@@ -293,9 +293,10 @@ def test_run_forward_neither_copies_nor_squares_x():
     assert peak < ds.x.nbytes, f"peak traced allocation {peak / 1e6:.1f} MB"
 
 
-def test_candidate_grams_hold_only_grams_and_cross_products():
-    # dim^2 Gram entries, dim cross products and one rank-rule scale per
-    # candidate: 456 bytes at dim 7. The set-up's GEMM product over x is
+def test_candidate_grams_hold_only_grams_and_rank_scales():
+    # dim^2 Gram entries and one rank-rule scale per candidate: 400 bytes at
+    # dim 7, 401.5 with the live mask (457.5 while the pool also held the
+    # last sweep's dim cross products). The set-up's GEMM product over x is
     # not kept.
     n, p = 400, 2000
     rng = np.random.default_rng(53)
@@ -309,24 +310,23 @@ def test_candidate_grams_hold_only_grams_and_cross_products():
     finally:
         tracemalloc.stop()
     assert grams.gram.shape == (7, 7, p)
-    assert held / p < 600, f"{held / p:.0f} bytes held per candidate"
+    assert held / p < 420, f"{held / p:.1f} bytes held per candidate"
 
 
 def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
     # Each sweep projects the factor columns its pool has not seen: the
     # intercept's 7 in the first, the last accepted block's 7 in each later
     # one. A pass that stops on patience or max_steps after a step sweeps,
-    # and so projects, no more. The pool is one tile, so one projection
-    # per sweep.
+    # and so projects, no more.
     calls, pools = [], []
-    project = CandidateGrams.project
+    sweep_of = selection.sweep
 
-    def counting(self, cols, left_t, out):
-        calls.append(left_t.shape[0] // self.bmat.shape[1] - 1)
-        pools.append(self)
-        project(self, cols, left_t, out)
+    def counting(grams, cache, criterion):
+        calls.append(cache.q.shape[1] - grams.m)
+        pools.append(grams)
+        return sweep_of(grams, cache, criterion)
 
-    monkeypatch.setattr(CandidateGrams, "project", counting)
+    monkeypatch.setattr(selection, "sweep", counting)
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
     train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
@@ -377,32 +377,22 @@ def test_each_step_extends_the_factor_once_per_short_listed_candidate(monkeypatc
     # short-listed candidate, and never a second time for the winner. A
     # duplicated covariate puts two exact ties on a short-list.
     calls, short_lists = [], []
-    extend, scores_of = regression.extend_cache, selection._scores
+    extend, sweep_of = regression.extend_cache, selection.sweep
 
     def counting(cache, block):
         calls.append((cache.index_set, block.covariate_index))
         return extend(cache, block)
 
-    def short_listing(deltas, u, criterion):
-        scores = scores_of(deltas, u, criterion)
+    def short_listing(grams, cache, criterion):
+        scores = sweep_of(grams, cache, criterion)
         best = scores.max()
-        grams = pools[-1]
         near = grams.alive & (scores >= best * (1.0 - selection.CONFIRM_REL_TOL))
         short_lists.append(grams.index[near].tolist())
         return scores
 
-    pools = []
-    start = selection._start
-
-    def starting(*args):
-        initial, cache, grams = start(*args)
-        pools.append(grams)
-        return initial, cache, grams
-
     monkeypatch.setattr(regression, "extend_cache", counting)
     monkeypatch.setattr(selection, "extend_cache", counting)
-    monkeypatch.setattr(selection, "_scores", short_listing)
-    monkeypatch.setattr(selection, "_start", starting)
+    monkeypatch.setattr(selection, "sweep", short_listing)
     sc = vf.SimScenario("ex2", n=400, p=200, t1=2.0, t2=1.0, seed=5, reps=1)
     train, _ = vf.generate(sc, 0)
     x = train.x[:, 1:].copy()
@@ -426,42 +416,45 @@ def test_each_step_extends_the_factor_once_per_short_listed_candidate(monkeypatc
 
 def test_sweep_and_run_forward_do_not_depend_on_the_tile_width(monkeypatch):
     # About 1000 candidates, swept in tiles of 7, of 300 (which does not
-    # divide the pool) and in one tile. Each candidate's arithmetic is the
-    # same in every tile, but OpenBLAS's GEMM makes a column's last bits
-    # depend on the number of columns it is given, so the deltas agree to
-    # 1e-12 relative (8e-15 measured), and bitwise in one tile.
+    # divide the pool) and in one tile, under each criterion. Each
+    # candidate's arithmetic is the same in every tile, but OpenBLAS's GEMM
+    # makes a column's last bits depend on the number of columns it is
+    # given, so the scores agree to 1e-12 relative (8e-15 measured), and
+    # bitwise in one tile.
     sc = vf.SimScenario("ex2", n=400, p=1000, t1=2.0, t2=1.0, seed=5, reps=1)
     train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
 
-    def run(width):
+    def run(width, criterion):
         monkeypatch.setattr(regression, "TILE_COLUMNS", width)
         _, cache, grams = selection._start(train, basis, (0,), None)
-        first = sweep(grams, cache)
-        second = sweep(grams, vf.extend_cache(cache, grams.block(int(np.argmax(first)))))
-        return (first, second), vf.run_forward(train, basis, vf.EbicConfig(eta=0.0))
+        first = sweep(grams, cache, criterion)
+        second = sweep(grams, vf.extend_cache(cache, grams.block(int(np.argmax(first)))), criterion)
+        config = vf.EbicConfig(eta=0.0)
+        return (first, second), vf.run_forward(train, basis, config, criterion=criterion)
 
-    deltas, trace = run(train.p)
-    assert len(trace.steps) > 5
-    for width in (7, 300, train.p, 2 * train.p):
-        got, other = run(width)
-        for a, b in zip(got, deltas):
-            assert (np.isfinite(a) == np.isfinite(b)).all()
-            if width >= train.p:
-                np.testing.assert_array_equal(a, b)
-            else:
-                fin = np.isfinite(b)
-                np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12, atol=0.0)
-        assert other == trace
-        np.testing.assert_array_equal(other.final_cache.r, trace.final_cache.r)
-        np.testing.assert_array_equal(other.final_cache.q, trace.final_cache.q)
+    for criterion in selection.CRITERIA:
+        scores, trace = run(train.p, criterion)
+        assert len(trace.steps) > 5
+        for width in (7, 300, train.p, 2 * train.p):
+            got, other = run(width, criterion)
+            for a, b in zip(got, scores):
+                assert (np.isfinite(a) == np.isfinite(b)).all()
+                if width >= train.p:
+                    np.testing.assert_array_equal(a, b)
+                else:
+                    fin = np.isfinite(b)
+                    np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12, atol=0.0)
+            assert other == trace
+            np.testing.assert_array_equal(other.final_cache.r, trace.final_cache.r)
+            np.testing.assert_array_equal(other.final_cache.q, trace.final_cache.q)
 
 
 def test_a_steps_scratch_does_not_grow_with_the_pool():
-    # Traced peak of a pass, less the memory before it and the Grams, cross
-    # products and rank-rule scales the pool holds (dim^2 + dim + 1 floats
-    # per candidate): 2.51 MB at p=2000 (one tile) and 2.66 MB at p=8000
-    # (two). With the whole pool swept at once it was 2.56 and 5.03 MB.
+    # Traced peak of a pass, less the memory before it and the Grams and
+    # rank-rule scales the pool holds (dim^2 + 1 floats per candidate):
+    # 2.50 MB at p=2000 (one tile) and 2.59 MB at p=8000 (two). With the
+    # whole pool swept at once it was 2.56 and 5.03 MB.
     n, dim = 400, 7
     basis = vf.build_basis(7, 4)
     assert basis.dim == dim
@@ -478,8 +471,36 @@ def test_a_steps_scratch_does_not_grow_with_the_pool():
         finally:
             tracemalloc.stop()
         assert len(trace.steps) == 3
-        scratch = peak - before - p * (dim * dim + dim + 1) * 8
+        scratch = peak - before - p * (dim * dim + 1) * 8
         assert scratch < 3.0e6, f"p={p}: {scratch / 1e6:.2f} MB of scratch"
+
+
+def test_the_confirmation_holds_only_its_short_list():
+    # Traced peak of one step's confirmation, less the extension it returns,
+    # over three steps: 0.072 MB at both p=2000 and p=8000. With
+    # pool-length arrays of exact scores, checked flags and current scores
+    # it was 0.106 and 0.208 MB.
+    n = 400
+    basis = vf.build_basis(7, 4)
+    scratch = {}
+    for p in (2000, 8000):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((n, p))
+        t = rng.random(n)
+        ds = vf.from_arrays(2.0 * x[:, 0] * t + rng.standard_normal(n), t, x)
+        _, cache, grams = selection._start(ds, basis, (0,), None)
+        for _ in range(3):
+            scores = sweep(grams, cache, "argmin_sigma")
+            tracemalloc.start()
+            try:
+                pos, cache = selection._confirmed_winner(cache, grams, scores, "argmin_sigma")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            grams.alive[pos] = False
+            held = cache.q.nbytes + cache.r.nbytes + cache.residual_y.nbytes
+            scratch[p] = max(scratch.get(p, 0), peak - held)
+    assert scratch[8000] < scratch[2000] + 0.01e6, scratch
 
 
 def test_run_forward_noise_keeps_intercept_mostly():
@@ -626,9 +647,9 @@ def test_candidate_pool_owns_its_indices_blocks_and_live_mask():
     block = grams.block(1)
     assert isinstance(block, vf.DesignBlock) and block.covariate_index == 3
     np.testing.assert_array_equal(block.matrix, vf.basis_matrix(basis, ds.t) * ds.x[:, 3:4])
-    assert np.isfinite(sweep(grams, cache)).all()
+    assert np.isfinite(sweep(grams, cache, "argmin_sigma")).all()
     grams.alive[1] = False
-    assert sweep(grams, cache)[1] == -np.inf
+    assert sweep(grams, cache, "argmin_sigma")[1] == -np.inf
 
 
 def test_run_forward_exact_fit_on_zero_response():
