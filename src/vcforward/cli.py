@@ -32,7 +32,7 @@ from .selection import (
     marginal_rank_screen,
     run_forward,
 )
-from .simulation import SimScenario, _rep_task, aggregate, snr
+from .simulation import SNR_MIN_SAMPLES, SimScenario, _rep_task, aggregate, snr
 from .splines import basis_matrix, build_basis
 
 # Run settings: key -> (cast of a scenario-file value, default). A flag wins
@@ -280,6 +280,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("an example id is required (--example or scenario file)")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.snr_samples < SNR_MIN_SAMPLES:
+        raise ConfigError(f"--snr-samples must be at least {SNR_MIN_SAMPLES}, got {args.snr_samples}")
     scenario = SimScenario(
         example_id=args.example,
         n=args.n,
@@ -292,8 +294,7 @@ def cmd_simulate(args) -> int:
     _check_screen_k(args.screen_k, scenario.p)
     config, criterion = _stopping_rule(args)
     build_basis(args.L, args.order)  # validate early
-    # Its own stream, so computing it first also validates --snr-samples
-    # before any rep runs.
+    # Its own stream, so it can be computed before any rep runs.
     snr_estimate = snr(scenario, args.snr_samples)
 
     tasks = [

@@ -168,13 +168,13 @@ class CandidateGrams:
     when ``index`` is one contiguous range, a gathered copy otherwise), the
     raw Grams are GEMMs (B_l B_m)^T x^2 over the lower triangle l >= m, one
     block of GRAM_BLOCK_COLUMNS columns of x at a time, and their diagonals
-    give the rank rule's scale. ``sweep`` takes the model's orthonormal
+    give the rank rule's scale. ``gram`` is (dim (dim + 1) / 2, k): the
+    lower triangle packed column by column, G[c:, c] for c = 0 .. dim - 1,
+    which is all ``sweep`` reads. ``sweep`` takes the model's orthonormal
     columns Q off them as G_j - C_j^T C_j with C = (Q_a B_l)^T x, one tile
-    of TILE_COLUMNS candidates at a time. The pool holds dim^2 + 1 floats
-    per candidate, the Grams and the scale, besides x: no (n, k, dim) stack
-    is formed, and nothing of a sweep outlives it. Only the lower triangle
-    and diagonal of ``gram`` are kept, which is all ``sweep`` reads, and the
-    upper triangle is zero.
+    of TILE_COLUMNS candidates at a time. The pool holds dim (dim + 1) / 2
+    + 1 floats per candidate, the Grams and the scale, besides x: no
+    (n, k, dim) stack is formed, and nothing of a sweep outlives it.
 
     A downdated Gram squares each block's condition number, so a winner is
     confirmed on its QR factor extension (``block``, ``extend_cache``).
@@ -192,13 +192,13 @@ class CandidateGrams:
         self.alive = np.ones(index.size, dtype=bool)
         self.m = 0
         k, dim = index.size, bmat.shape[1]
-        rows, cols = np.tril_indices(dim)
+        cols, rows = np.triu_indices(dim)
         products = (bmat[:, rows] * bmat[:, cols]).T
-        self.gram = np.zeros((dim, dim, k))
+        self.gram = np.empty((rows.size, k))
         for start in range(0, k, GRAM_BLOCK_COLUMNS):
             block = self.x[:, start : start + GRAM_BLOCK_COLUMNS]
-            self.gram[rows, cols, start : start + block.shape[1]] = products @ (block * block)
-        self.col_sq_max = np.diagonal(self.gram).max(axis=1)
+            np.matmul(products, block * block, out=self.gram[:, start : start + block.shape[1]])
+        self.col_sq_max = self.gram[rows == cols].max(axis=0)
 
     def block(self, pos: int) -> DesignBlock:
         """The design block of the candidate at position ``pos``."""
@@ -211,12 +211,12 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
 
     One pass over the pool, one tile of TILE_COLUMNS candidates at a time.
     On each tile, one GEMM gives the products (Q_a B_l)^T x over the
-    columns of Q past ``grams.m``, which downdate the Grams, and the cross
-    products u = (B r)^T x with the residual; then each of the tile's
-    downdated Grams, of which only the lower triangle and diagonal are
-    read, is Cholesky-factored, vectorized over the tile with a loop over
-    its ``dim`` columns, and z = L^-1 u is solved alongside. Afterwards
-    ``grams.m`` is the width of Q.
+    columns of Q past ``grams.m``, which downdate the packed Grams one
+    column slab at a time, and the cross products u = (B r)^T x with the
+    residual; then each of the tile's downdated Grams is Cholesky-factored,
+    vectorized over the tile with a loop over its ``dim`` columns, each
+    reading its pivot and the column below it from that column's slab, and
+    z = L^-1 u is solved alongside. Afterwards ``grams.m`` is the width of Q.
 
     Under "argmin_sigma" a candidate scores its variance drop
     sigma_sq(S) - sigma_sq(S + candidate) = z.z / n, under "argmax_corr"
@@ -234,16 +234,17 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
     # triangle is written by pass l, before pass j > l reads it, and z[j] is
     # solved in place.
     scratch = np.empty(max(left_t.shape[0], dim * dim + dim) * min(k, TILE_COLUMNS))
-    scores = np.empty(k)
+    # Column c of a packed Gram, G[c:, c], is rows starts[c] .. starts[c + 1] - 1.
+    scores, starts = np.empty(k), np.cumsum([0, *range(dim, 0, -1)])
     for start in range(0, k, TILE_COLUMNS):
         cols = slice(start, start + TILE_COLUMNS)
         x = grams.x[:, cols]
         w = x.shape[1]
         prod = np.matmul(left_t, x, out=scratch[: left_t.shape[0] * w].reshape(-1, w))
         c = prod[:-dim].reshape(-1, dim, w)
-        gram = grams.gram[:, :, cols]
-        for l in range(dim):
-            gram[l, : l + 1] -= np.einsum("ak,amk->mk", c[:, l], c[:, : l + 1])
+        gram = grams.gram[:, cols]
+        for m in range(dim):
+            gram[starts[m] : starts[m + 1]] -= np.einsum("alk,ak->lk", c[:, m:], c[:, m])
         # The factor is stored transposed, chol[l, i] = L[i, l], so that each
         # new column of L is one contiguous block: numpy updates that in
         # place, where on a strided view it would copy the operand.
@@ -254,8 +255,8 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
             scores[cols] = np.linalg.norm(z, axis=0)
         usable = grams.alive[cols].copy()
         for j in range(dim):
-            row = chol[:j, j]
-            pivot_sq = gram[j, j] - np.einsum("lk,lk->k", row, row)
+            row, slab = chol[:j, j], gram[starts[j] : starts[j + 1]]
+            pivot_sq = slab[0] - np.einsum("lk,lk->k", row, row)
             usable &= _full_rank(pivot_sq, grams.col_sq_max[cols])
             # A degenerate candidate continues on an infinite pivot, which
             # zeroes the rest of its factor instead of dividing by a
@@ -263,7 +264,7 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
             pivot = np.sqrt(np.where(usable, pivot_sq, np.inf))
             col = chol[j, j + 1 :]
             np.einsum("lik,lk->ik", chol[:j, j + 1 :], row, out=col)
-            np.subtract(gram[j + 1 :, j], col, out=col)
+            np.subtract(slab[1:], col, out=col)
             col /= pivot
             z[j] -= np.einsum("lk,lk->k", row, z[:j])
             z[j] /= pivot

@@ -40,6 +40,9 @@ _PURPOSE_SNR = 2
 # the raw draws exist one block of rows at a time.
 DRAW_BLOCK_CELLS = 1 << 14
 
+# Fewest Monte Carlo draws ``snr`` accepts.
+SNR_MIN_SAMPLES = 10_000
+
 # Active coefficient functions per benchmark model, keyed by covariate index.
 EXAMPLE_COEFFS = {
     "ex1": {
@@ -229,8 +232,8 @@ def snr(scenario: SimScenario, mc_samples: int = 100_000) -> float:
     each block's terms are added in the same order, so the value is that of
     one full-size draw.
     """
-    if mc_samples < 10_000:
-        raise ConfigError("mc_samples must be at least 10000")
+    if mc_samples < SNR_MIN_SAMPLES:
+        raise ConfigError(f"mc_samples must be at least {SNR_MIN_SAMPLES}")
     rng = _stream(scenario.seed, 0, _PURPOSE_SNR)
     coeffs = [coeff for _, coeff in sorted(EXAMPLE_COEFFS[scenario.example_id].items())]
     u1 = rng.random(mc_samples)

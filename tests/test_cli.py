@@ -426,13 +426,18 @@ def test_simulate_requires_example(capsys):
 
 
 def test_simulate_rejects_snr_samples_before_any_rep(tmp_path, monkeypatch, capsys):
+    # The message names the flag and the value given, not snr's argument.
     calls = []
     monkeypatch.setattr(cli, "_rep_task", calls.append)
+    monkeypatch.setattr(cli, "snr", calls.append)
     out = tmp_path / "agg.json"
-    args = ["simulate", "--example", "ex1", "--reps", "20", "--snr-samples", "5"]
-    assert main(args + ["--out", str(out)]) == 1
-    assert "usage error" in capsys.readouterr().err
-    assert calls == [] and not out.exists()
+    for value in ("5", "9999"):
+        args = ["simulate", "--example", "ex1", "--reps", "20", "--snr-samples", value]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"--snr-samples must be at least 10000, got {value}" in err
+        assert "mc_samples" not in err
+        assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

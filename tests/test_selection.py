@@ -294,10 +294,11 @@ def test_run_forward_neither_copies_nor_squares_x():
 
 
 def test_candidate_grams_hold_only_grams_and_rank_scales():
-    # dim^2 Gram entries and one rank-rule scale per candidate: 400 bytes at
-    # dim 7, 401.5 with the live mask (457.5 while the pool also held the
-    # last sweep's dim cross products). The set-up's GEMM product over x is
-    # not kept.
+    # The dim (dim + 1) / 2 = 28 packed Gram entries and one rank-rule scale
+    # per candidate: 29 floats, 232 bytes at dim 7, 233 with the live mask
+    # and about 242 traced with the index array built here (409.5 while the
+    # pool held the full dim x dim Grams, 49 floats). The set-up's GEMM
+    # product over x is not kept.
     n, p = 400, 2000
     rng = np.random.default_rng(53)
     x = rng.standard_normal((n, p))
@@ -309,8 +310,32 @@ def test_candidate_grams_hold_only_grams_and_rank_scales():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grams.gram.shape == (7, 7, p)
-    assert held / p < 420, f"{held / p:.1f} bytes held per candidate"
+    assert grams.gram.shape == (28, p)
+    assert held / p < 250, f"{held / p:.1f} bytes held per candidate"
+
+
+def test_candidate_grams_pack_the_lower_triangles_of_the_explicit_grams():
+    # Row r of the pool is G[rows[r], cols[r]] with (cols, rows) in
+    # np.triu_indices order: column c's entries G[c:, c], one column after
+    # another. A contiguous pool of 600 columns spans three set-up blocks of
+    # 256, the last one partial; the gathered pool is a copy of x's columns.
+    # Every entry sums nonnegative terms (B-spline products times x^2), so a
+    # relative tolerance holds.
+    n = 300
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((n, 700))
+    basis = vf.build_basis(7, 4)
+    bmat = vf.basis_matrix(basis, rng.random(n))
+    cols, rows = np.triu_indices(basis.dim)
+    for index in (np.arange(50, 650), np.sort(rng.choice(700, 333, replace=False))):
+        grams = CandidateGrams(bmat, x, index)
+        assert grams.gram.shape == (28, index.size)
+        for pos, j in enumerate(index):
+            w = bmat * x[:, j : j + 1]
+            explicit = w.T @ w
+            np.testing.assert_allclose(grams.gram[:, pos], explicit[rows, cols], rtol=1e-12)
+            assert grams.col_sq_max[pos] == pytest.approx(np.diag(explicit).max(), rel=1e-12)
+        np.testing.assert_array_equal(grams.col_sq_max, grams.gram[rows == cols].max(axis=0))
 
 
 def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
@@ -451,10 +476,10 @@ def test_sweep_and_run_forward_do_not_depend_on_the_tile_width(monkeypatch):
 
 
 def test_a_steps_scratch_does_not_grow_with_the_pool():
-    # Traced peak of a pass, less the memory before it and the Grams and
-    # rank-rule scales the pool holds (dim^2 + 1 floats per candidate):
-    # 2.50 MB at p=2000 (one tile) and 2.59 MB at p=8000 (two). With the
-    # whole pool swept at once it was 2.56 and 5.03 MB.
+    # Traced peak of a pass, less the memory before it and the packed Grams
+    # and rank-rule scales the pool holds (dim (dim + 1) / 2 + 1 floats per
+    # candidate): 2.50 MB at p=2000 (one tile) and 2.60 MB at p=8000 (two).
+    # With the whole pool swept at once it was 2.56 and 5.03 MB.
     n, dim = 400, 7
     basis = vf.build_basis(7, 4)
     assert basis.dim == dim
@@ -471,7 +496,7 @@ def test_a_steps_scratch_does_not_grow_with_the_pool():
         finally:
             tracemalloc.stop()
         assert len(trace.steps) == 3
-        scratch = peak - before - p * (dim * dim + 1) * 8
+        scratch = peak - before - p * (dim * (dim + 1) // 2 + 1) * 8
         assert scratch < 3.0e6, f"p={p}: {scratch / 1e6:.2f} MB of scratch"
 
 
