@@ -25,35 +25,15 @@ from .report import (
     write_curves,
     write_report,
 )
-from .selection import (
-    CRITERIA,
-    EbicConfig,
-    auto_eta,
-    marginal_rank_screen,
-    run_forward,
-)
+from .selection import EbicConfig, auto_eta, marginal_rank_screen, run_forward
 from .simulation import SNR_MIN_SAMPLES, SimScenario, _rep_task, aggregate, snr
 from .splines import basis_matrix, build_basis
 
-# Run settings: key -> (cast of a scenario-file value, default). A flag wins
-# over the scenario file, which wins over the default. ``select`` reads the
-# keys it shares with ``simulate`` from here too, with no scenario file.
-SETTINGS = {
-    "example": (str, None),
-    "n": (int, 400),
-    "p": (int, 1000),
-    "t1": (float, 0.0),
-    "t2": (float, 0.0),
-    "seed": (int, 1),
-    "reps": (int, 200),
-    "L": (int, 7),
-    "order": (int, 4),
-    "eta_rule": (str, "explicit"),
-    "eta": (float, None),
-    "patience": (int, 5),
-    "criterion": (str, "argmin-sigma"),
-    "screen_k": (int, 0),
-}
+# Keys a scenario file may set, each read as the ``simulate`` flag it names.
+SCENARIO_KEYS = (
+    "example", "n", "p", "t1", "t2", "seed", "reps",
+    "L", "order", "eta_rule", "eta", "patience", "criterion", "screen_k",
+)
 
 _CRITERION_FLAG = {"argmin-sigma": "argmin_sigma", "argmax-corr": "argmax_corr"}
 
@@ -75,15 +55,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="vcforward", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Flags shared by select and simulate; unset ones resolve through SETTINGS.
+    # Flags shared by select and simulate.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--L", type=int, default=None, help="spline dimension (default 7)")
-    common.add_argument("--order", type=int, default=None, help="spline order (default 4, cubic)")
-    common.add_argument("--eta-rule", choices=("auto", "explicit"), default=None)
+    common.add_argument("--L", type=int, default=7, help="spline dimension (default %(default)s)")
+    common.add_argument("--order", type=int, default=4, help="spline order (default %(default)s, cubic)")
+    common.add_argument("--eta-rule", choices=("auto", "explicit"), default="explicit")
     common.add_argument("--eta", type=float, default=None, help="EBIC weight (0 = BIC)")
-    common.add_argument("--patience", type=int, default=None)
-    common.add_argument("--criterion", choices=sorted(_CRITERION_FLAG), default=None)
-    common.add_argument("--screen-k", type=int, default=None, help="marginal pre-screen size (0 = off)")
+    common.add_argument("--patience", type=int, default=5)
+    common.add_argument("--criterion", choices=sorted(_CRITERION_FLAG), default="argmin-sigma")
+    common.add_argument("--screen-k", type=int, default=0, help="marginal pre-screen size (0 = off)")
     common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (golden tests)")
 
     sel = sub.add_parser("select", parents=[common], help="forward selection on a CSV dataset")
@@ -98,12 +78,12 @@ def _build_parser() -> _Parser:
     sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo scenario")
     sim.add_argument("--scenario", default=None, help="scenario file with key=value lines")
     sim.add_argument("--example", choices=("ex1", "ex2"), default=None)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--p", type=int, default=None)
-    sim.add_argument("--t1", type=float, default=None)
-    sim.add_argument("--t2", type=float, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--reps", type=int, default=None)
+    sim.add_argument("--n", type=int, default=400)
+    sim.add_argument("--p", type=int, default=1000)
+    sim.add_argument("--t1", type=float, default=0.0)
+    sim.add_argument("--t2", type=float, default=0.0)
+    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--reps", type=int, default=200)
     sim.add_argument("--workers", type=int, default=1)
     sim.add_argument("--snr-samples", type=int, default=100_000)
     sim.add_argument("--out", default="aggregate.json", help="aggregate JSON path")
@@ -143,23 +123,19 @@ def _parse_initial(arg: str, column_names) -> tuple[int, ...]:
 
 
 def _stopping_rule(args) -> tuple[EbicConfig, str]:
-    """The forward pass's stopping rule and criterion from resolved settings."""
+    """The forward pass's stopping rule and criterion from parsed settings."""
     if args.eta_rule == "auto" and args.eta is not None:
         raise ConfigError("--eta conflicts with --eta-rule auto")
-    criterion = _CRITERION_FLAG.get(args.criterion, args.criterion)
-    if criterion not in CRITERIA:
-        raise ConfigError(f"unknown criterion {args.criterion!r}")
     config = EbicConfig(
         eta=args.eta if args.eta is not None else 0.0,
         eta_rule=args.eta_rule,
         patience=args.patience,
         max_steps=getattr(args, "max_steps", None),
     )
-    return config, criterion
+    return config, _CRITERION_FLAG[args.criterion]
 
 
 def cmd_select(args) -> int:
-    _apply_settings(args, {})
     config, criterion = _stopping_rule(args)
     basis = build_basis(args.L, args.order)
     dataset = load_csv(args.data, args.y_column, args.t_column, min_rows=2 * args.L)
@@ -232,9 +208,13 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _read_scenario_file(path) -> dict:
-    values: dict[str, str] = {}
-    with open_file(path, encoding="utf-8") as fh:
+def _read_scenario_file(path) -> list[str]:
+    """The ``key=value`` lines of a scenario file as ``--key=value`` flags.
+
+    The ``=`` form keeps a value such as ``-5`` from reading as a flag.
+    """
+    flags = []
+    with open_file(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -243,28 +223,12 @@ def _read_scenario_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in SETTINGS:
+            if key not in SCENARIO_KEYS:
                 raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: " + ", ".join(SETTINGS)
+                    f"{path}:{lineno}: unknown key {key!r}; valid keys: " + ", ".join(SCENARIO_KEYS)
                 )
-            values[key] = value.strip()
-    return values
-
-
-def _apply_settings(args, file_values: dict) -> None:
-    """Set every SETTINGS key on ``args``: its flag, else the scenario file, else its default."""
-    for key, (cast, default) in SETTINGS.items():
-        if getattr(args, key, None) is not None:
-            continue
-        value = default
-        if key in file_values:
-            try:
-                value = cast(file_values[key])
-            except ValueError:
-                raise ConfigError(
-                    f"scenario key {key!r} has invalid value {file_values[key]!r}"
-                ) from None
-        setattr(args, key, value)
+            flags.append(f"--{key.replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _check_screen_k(screen_k: int, p: int) -> None:
@@ -275,7 +239,6 @@ def _check_screen_k(screen_k: int, p: int) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _apply_settings(args, _read_scenario_file(args.scenario) if args.scenario else {})
     if args.example is None:
         raise ConfigError("an example id is required (--example or scenario file)")
     if args.workers < 1:
@@ -363,8 +326,17 @@ def cmd_basis_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "scenario", None):
+            # The file's flags go first, so a command-line flag wins (last
+            # wins). The command line parsed above; an error here is the file's.
+            file_flags = _read_scenario_file(args.scenario)
+            try:
+                args = parser.parse_args([*argv[:1], *file_flags, *argv[1:]])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.scenario}: {exc}") from None
         if args.command == "select":
             return cmd_select(args)
         if args.command == "simulate":

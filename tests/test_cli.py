@@ -402,11 +402,13 @@ def test_simulate_unknown_scenario_key_lists_valid(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("example=ex1\nn\n", ":2: expected key=value, got 'n'"),
-        ("example=ex1\nn=abc\n", "scenario key 'n' has invalid value 'abc'"),
-        ("example=ex1\ncriterion=bogus\n", "unknown criterion 'bogus'"),
+        ("example=ex1\nn\n", "{path}:2: expected key=value, got 'n'"),
+        # A value meets its flag's type and choices; the error names the file.
+        ("example=ex1\nn=abc\n", "{path}: argument --n: invalid int value: 'abc'"),
+        ("example=ex1\ncriterion=bogus\n", "{path}: argument --criterion: invalid choice: 'bogus'"),
+        ("example=ex1\ncriterion=argmin_sigma\n", "invalid choice: 'argmin_sigma'"),
     ],
-    ids=["no-equals", "bad-value", "bad-criterion"],
+    ids=["no-equals", "bad-value", "bad-criterion", "underscore-criterion"],
 )
 def test_simulate_bad_scenario_file_is_usage_error(tmp_path, monkeypatch, capsys, text, message):
     calls = []
@@ -416,8 +418,67 @@ def test_simulate_bad_scenario_file_is_usage_error(tmp_path, monkeypatch, capsys
     out = tmp_path / "agg.json"
     assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "usage error" in err and message in err
+    assert "usage error" in err and message.format(path=scen) in err
     assert calls == [] and not out.exists()
+
+
+def test_simulate_scenario_file_may_start_with_a_byte_order_mark(tmp_path):
+    scen = tmp_path / "scenario.txt"
+    scen.write_text("example=ex1\nn=120\np=20\nreps=1\n", encoding="utf-8-sig")
+    out = tmp_path / "agg.json"
+    args = ["simulate", "--scenario", str(scen), "--snr-samples", "10000", "--out", str(out)]
+    assert main(args) == 0
+    scenario = json.loads(out.read_text(encoding="utf-8"))["scenario"]
+    assert scenario["example_id"] == "ex1" and scenario["n"] == 120
+
+
+# key: (aggregate section, field, file value, flag value, echo of a value)
+_SCENARIO_CASES = {
+    "example": ("scenario", "example_id", "ex2", "ex1", str),
+    "n": ("scenario", "n", "220", "240", int),
+    "p": ("scenario", "p", "25", "30", int),
+    "t1": ("scenario", "t1", "1.5", "2.0", float),
+    "t2": ("scenario", "t2", "0.5", "1.0", float),
+    "seed": ("scenario", "seed", "3", "4", int),
+    "reps": ("scenario", "reps", "2", "1", int),
+    "L": ("settings", "L", "5", "6", int),
+    "order": ("settings", "order", "3", "2", int),
+    "eta_rule": ("settings", "eta_rule", "auto", "explicit", str),
+    "eta": ("settings", "eta", "0.5", "0.25", float),
+    "patience": ("settings", "patience", "2", "3", int),
+    "criterion": ("settings", "criterion", "argmax-corr", "argmin-sigma", lambda v: v.replace("-", "_")),
+    "screen_k": ("settings", "screen_k", "10", "5", int),
+}
+
+
+@pytest.mark.parametrize("flag", [None, "before", "after"], ids=["file", "flag-before", "flag-after"])
+@pytest.mark.parametrize("key", cli.SCENARIO_KEYS)
+def test_every_scenario_key_reaches_the_aggregate_and_yields_to_its_flag(tmp_path, key, flag):
+    section, field, file_value, flag_value, echo = _SCENARIO_CASES[key]
+    scen = tmp_path / "scenario.txt"
+    # The key's line comes last, so it overrides the base lines for n, p and reps.
+    scen.write_text(f"example=ex1\nn=200\np=20\nreps=1\n{key}={file_value}\n", encoding="utf-8")
+    out = tmp_path / "agg.json"
+    given = [f"--{key.replace('_', '-')}", flag_value]
+    scenario = ["--scenario", str(scen)]
+    args = {None: scenario, "before": given + scenario, "after": scenario + given}[flag]
+    tail = ["--snr-samples", "10000", "--out", str(out), "--no-timestamp"]
+    assert main(["simulate", *args, *tail]) == 0
+    blob = json.loads(out.read_text(encoding="utf-8"))
+    assert blob[section][field] == echo(file_value if flag is None else flag_value)
+
+
+def test_main_without_argv_reads_sys_argv_through_a_scenario_file(tmp_path, monkeypatch):
+    # The console script calls main() with no argv; the file's flags must
+    # still go ahead of the command line's.
+    scen = tmp_path / "scenario.txt"
+    scen.write_text("example=ex1\nn=120\np=20\nreps=3\n", encoding="utf-8")
+    out = tmp_path / "agg.json"
+    argv = ["simulate", "--scenario", str(scen), "--reps", "1", "--snr-samples", "10000"]
+    monkeypatch.setattr(sys, "argv", ["vcforward", *argv, "--out", str(out), "--no-timestamp"])
+    assert main() == 0
+    scenario = json.loads(out.read_text(encoding="utf-8"))["scenario"]
+    assert scenario["reps"] == 1 and scenario["n"] == 120
 
 
 def test_simulate_requires_example(capsys):
