@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import os
 import sys
 from dataclasses import asdict
 
@@ -36,6 +37,10 @@ SCENARIO_KEYS = (
 )
 
 _CRITERION_FLAG = {"argmin-sigma": "argmin_sigma", "argmax-corr": "argmax_corr"}
+
+# The files each command reads or writes, by argparse dest; no two may be
+# one file.
+_PATH_DESTS = {"select": ("data", "out", "curves_out"), "simulate": ("scenario", "out", "per_rep_out")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,6 +125,21 @@ def _parse_initial(arg: str, column_names) -> tuple[int, ...]:
     if not out:
         raise ConfigError(f"--initial {arg!r} names no covariate; use 'empty' for the empty model")
     return tuple(out)
+
+
+def _check_distinct_paths(args) -> None:
+    """Raise ConfigError when two of the command's file flags name one file,
+    compared by ``os.path.realpath``, so that no output overwrites an input
+    or another output."""
+    seen: dict[str, str] = {}
+    for dest in _PATH_DESTS.get(args.command, ()):
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ConfigError(f"{first} and {flag} name the same file {path!r}")
 
 
 def _stopping_rule(args) -> tuple[EbicConfig, str]:
@@ -329,6 +349,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
+        _check_distinct_paths(args)
         if getattr(args, "scenario", None):
             # The file's flags go first, so a command-line flag wins (last
             # wins). The command line parsed above; an error here is the file's.

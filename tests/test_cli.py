@@ -541,6 +541,42 @@ def test_negative_screen_k_is_usage_error(tmp_path, monkeypatch, capsys):
     assert main(select + ["--L", "5", "--screen-k", "0", "--out", str(out)]) == 0
 
 
+def test_select_report_and_curves_on_one_path_is_usage_error(tmp_path, capsys):
+    data = _noise_csv(tmp_path / "noise.csv")
+    out = tmp_path / "out.json"
+    (tmp_path / "sub").mkdir()
+    argv = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t", "--L", "5"]
+    assert main(argv + ["--out", str(out), "--curves-out", str(tmp_path / "sub" / ".." / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: --out and --curves-out name the same file" in err
+    assert not out.exists()
+
+
+def test_select_report_over_its_input_is_usage_error(tmp_path, capsys):
+    data = _noise_csv(tmp_path / "noise.csv")
+    before = data.read_bytes()
+    argv = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t", "--L", "5"]
+    assert main(argv + ["--out", str(data)]) == 1
+    assert "usage error: --data and --out name the same file" in capsys.readouterr().err
+    assert data.read_bytes() == before
+
+
+def test_simulate_aggregate_and_per_rep_on_one_path_is_usage_error(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_rep_task", calls.append)
+    monkeypatch.setattr(cli, "snr", calls.append)
+    monkeypatch.chdir(tmp_path)
+    args = ["simulate", "--example", "ex1", "--p", "50", "--reps", "2"]
+    assert main(args + ["--out", "agg.json", "--per-rep-out", str(tmp_path / "agg.json")]) == 1
+    assert "usage error: --out and --per-rep-out name the same file" in capsys.readouterr().err
+    scen = tmp_path / "scenario.txt"
+    scen.write_text("example=ex1\np=50\nreps=2\n", encoding="utf-8")
+    assert main(["simulate", "--scenario", "scenario.txt", "--out", str(scen)]) == 1
+    assert "usage error: --scenario and --out name the same file" in capsys.readouterr().err
+    assert scen.read_text(encoding="utf-8") == "example=ex1\np=50\nreps=2\n"
+    assert calls == [] and not (tmp_path / "agg.json").exists()
+
+
 def test_simulate_worker_counts_agree(tmp_path):
     outs = []
     for workers, tag in ((1, "a"), (2, "b")):

@@ -1,7 +1,11 @@
 """CSV ingestion, dataset invariants, and report/curve writers."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -521,6 +525,220 @@ def test_load_builds_x_in_the_parsed_cells(tmp_path, y_pos, t_pos, rescaled):
     # held 2x.
     assert peak < 1.6 * ds.x.nbytes, (peak, ds.x.nbytes)
     assert held < 1.1 * ds.x.nbytes, (held, ds.x.nbytes)
+
+
+def _rows_text(seed, n=40, t_col=1, t_range=(0.0, 1.0), eol="\n"):
+    """``n`` rows of four 17-digit cells, each 96 bytes with a line feed."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, 4))
+    rows[:, t_col] = t_range[0] + (t_range[1] - t_range[0]) * rng.random(n)
+    return "".join(",".join(f"{v:+.16e}" for v in row) + eol for row in rows)
+
+
+# Each case: file text, response column, index column.
+_SPLIT_CASES = {
+    "plain": ("y,t,a,b\n" + _rows_text(1), "y", "t"),
+    "bom": ("\ufeffy,t,a,b\n" + _rows_text(2), "y", "t"),
+    "crlf": ("y,t,a,b\r\n" + _rows_text(3, eol="\r\n"), "y", "t"),
+    # With two ranges the cut falls inside the block of blank lines.
+    "blank-lines-at-cut": (
+        "y,t,a,b\n" + _rows_text(4, n=20) + "\n" * 60 + _rows_text(5, n=20), "y", "t"
+    ),
+    "blank-lines-around": (
+        "y,t,a,b\n\n\n" + _rows_text(6).replace("\n", "\n\n") + "\n\n", "y", "t"
+    ),
+    "no-trailing-newline": ("y,t,a,b\n" + _rows_text(7).rstrip("\n"), "y", "t"),
+    "y-and-t-inside": ("a,y,t,b\n" + _rows_text(8, t_col=2), "y", "t"),
+    "t-before-y": ("a,t,b,y\n" + _rows_text(9), "y", "t"),
+    "rescaled-index": ("y,t,a,b\n" + _rows_text(10, t_range=(2.0, 9.0)), "y", "t"),
+}
+
+
+def _force_split(monkeypatch, cores):
+    """Split every file into ``cores`` ranges; returns the list that counts
+    this process's forks."""
+    monkeypatch.setattr(data, "SPLIT_BYTES", 1)
+    monkeypatch.setattr(data, "_usable_cores", lambda: cores)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_dataset(got, want):
+    for name in ("y", "t", "x"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.column_names == want.column_names
+    assert got.rescale_map == want.rescale_map
+
+
+def _count_parses(monkeypatch):
+    """The list that counts this process's own loadtxt parses; forked
+    children count in their copy of it."""
+    parses, loadtxt = [], data._loadtxt
+
+    def counted(fh):
+        parses.append(1)
+        return loadtxt(fh)
+
+    monkeypatch.setattr(data, "_loadtxt", counted)
+    return parses
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_split_parse_equals_one_process_parse(tmp_path, monkeypatch, case, cores):
+    text, y_column, t_column = _SPLIT_CASES[case]
+    path = tmp_path / "split.csv"
+    path.write_bytes(text.encode("utf-8"))
+    one = vf.load_csv(path, y_column, t_column)
+    forks = _force_split(monkeypatch, cores)
+    parses = _count_parses(monkeypatch)
+    split = vf.load_csv(path, y_column, t_column)
+    _assert_no_child_left()
+    assert len(forks) == cores and not parses
+    _assert_same_dataset(split, one)
+    if case == "rescaled-index":
+        assert split.rescale_map != (0.0, 1.0)
+
+
+_LAST_ROW = "+1.5e+00,+2.5e-01,+3.5e+00,+4.5e+00\n"
+
+
+@pytest.mark.parametrize(
+    "last_row",
+    [
+        pytest.param(_LAST_ROW.replace("+3.5e+00", "oops"), id="bad-cell"),
+        pytest.param(_LAST_ROW.replace(",+4.5e+00", ""), id="short-row"),
+        pytest.param(_LAST_ROW.replace("\n", ",7\n"), id="wide-row"),
+        pytest.param(_LAST_ROW.replace("+3.5e+00", "nan"), id="nan-cell"),
+        pytest.param(_LAST_ROW.replace("+3.5e+00", '"3.5"'), id="quoted-cell"),
+    ],
+)
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("alone", [False, True], ids=["rows-before", "alone"])
+def test_split_parse_keeps_the_one_process_errors(tmp_path, monkeypatch, last_row, cores, alone):
+    # The row sits in the last range, after other rows or alone in it (a
+    # short or wide row's width then reaches the parent instead of a loadtxt
+    # error); with three ranges the middle one holds blank lines only.
+    body = _rows_text(11, n=4) + "\n" * 3000 if alone else _rows_text(11)
+    path = tmp_path / "late.csv"
+    path.write_bytes(("y,t,a,b\n" + body + last_row).encode("utf-8"))
+    try:
+        want = vf.load_csv(path, "y", "t")
+    except DataError as exc:
+        want = str(exc)
+    forks = _force_split(monkeypatch, cores)
+    parses = _count_parses(monkeypatch)
+    try:
+        got = vf.load_csv(path, "y", "t")
+    except DataError as exc:
+        got = str(exc)
+    _assert_no_child_left()
+    assert len(forks) == cores
+    # A NaN passes the children and is found after the split parse; every
+    # other row sends the file to the one-process parse.
+    assert len(parses) == (0 if "nan" in last_row else 1)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        # Only the quoted cell loads: a child finds the quote.
+        _assert_same_dataset(got, want)
+
+
+def test_split_parse_falls_back_on_a_quoted_header(tmp_path, monkeypatch):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(('"y",t,a,b\n' + _rows_text(12)).encode("utf-8"))
+    want = vf.load_csv(path, "y", "t")
+    forks = _force_split(monkeypatch, 2)
+    _assert_same_dataset(vf.load_csv(path, "y", "t"), want)
+    assert not forks
+
+
+@pytest.mark.parametrize("fails_at", [1, 2, 3])
+def test_split_parse_falls_back_when_fork_fails(tmp_path, monkeypatch, fails_at):
+    # A fork after the first fails: the children already forked are reaped.
+    path = tmp_path / "fork.csv"
+    path.write_bytes(("y,t,a,b\n" + _rows_text(13)).encode("utf-8"))
+    want = vf.load_csv(path, "y", "t")
+    forks = _force_split(monkeypatch, 3)
+    fork = os.fork
+
+    def failing_fork():
+        if len(forks) == fails_at - 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    parses = _count_parses(monkeypatch)
+    got = vf.load_csv(path, "y", "t")
+    _assert_no_child_left()
+    assert len(forks) == fails_at - 1 and len(parses) == 1
+    _assert_same_dataset(got, want)
+
+
+def test_split_parse_falls_back_when_shared_memory_fails(tmp_path, monkeypatch):
+    path = tmp_path / "mmap.csv"
+    path.write_bytes(("y,t,a,b\n" + _rows_text(16)).encode("utf-8"))
+    want = vf.load_csv(path, "y", "t")
+    forks = _force_split(monkeypatch, 2)
+
+    def no_memory(*args):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(data.mmap, "mmap", no_memory)
+    _assert_same_dataset(vf.load_csv(path, "y", "t"), want)
+    assert not forks
+
+
+def test_split_parse_does_not_fork_beside_another_thread(tmp_path, monkeypatch):
+    path = tmp_path / "threads.csv"
+    path.write_bytes(("y,t,a,b\n" + _rows_text(14)).encode("utf-8"))
+    want = vf.load_csv(path, "y", "t")
+    _force_split(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("os.fork called while another thread runs")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        got = vf.load_csv(path, "y", "t")
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    _assert_no_child_left()
+    _assert_same_dataset(got, want)
+
+
+def test_load_reads_a_fifo_in_one_process(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(("y,t,a,b\n" + _rows_text(15)).encode("utf-8"))
+    want = vf.load_csv(path, "y", "t")
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    forks = _force_split(monkeypatch, 2)
+    copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
+    try:
+        got = vf.load_csv(fifo, "y", "t")
+    finally:
+        assert writer.wait(timeout=30) == 0
+    _assert_no_child_left()
+    assert not forks
+    _assert_same_dataset(got, want)
 
 
 def _small_fit():
