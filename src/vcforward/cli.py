@@ -33,10 +33,8 @@ from .splines import basis_matrix, build_basis
 # Keys a scenario file may set, each read as the ``simulate`` flag it names.
 SCENARIO_KEYS = (
     "example", "n", "p", "t1", "t2", "seed", "reps",
-    "L", "order", "eta_rule", "eta", "patience", "criterion", "screen_k",
+    "L", "order", "eta_rule", "eta", "patience", "screen_k",
 )
-
-_CRITERION_FLAG = {"argmin-sigma": "argmin_sigma", "argmax-corr": "argmax_corr"}
 
 # The files each command reads or writes, by argparse dest; no two may be
 # one file.
@@ -67,7 +65,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--eta-rule", choices=("auto", "explicit"), default="explicit")
     common.add_argument("--eta", type=float, default=None, help="EBIC weight (0 = BIC)")
     common.add_argument("--patience", type=int, default=5)
-    common.add_argument("--criterion", choices=sorted(_CRITERION_FLAG), default="argmin-sigma")
     common.add_argument("--screen-k", type=int, default=0, help="marginal pre-screen size (0 = off)")
     common.add_argument("--no-timestamp", action="store_true", help="omit the timestamp (golden tests)")
 
@@ -142,21 +139,20 @@ def _check_distinct_paths(args) -> None:
             raise ConfigError(f"{first} and {flag} name the same file {path!r}")
 
 
-def _stopping_rule(args) -> tuple[EbicConfig, str]:
-    """The forward pass's stopping rule and criterion from parsed settings."""
+def _stopping_rule(args) -> EbicConfig:
+    """The forward pass's stopping rule from parsed settings."""
     if args.eta_rule == "auto" and args.eta is not None:
         raise ConfigError("--eta conflicts with --eta-rule auto")
-    config = EbicConfig(
+    return EbicConfig(
         eta=args.eta if args.eta is not None else 0.0,
         eta_rule=args.eta_rule,
         patience=args.patience,
         max_steps=getattr(args, "max_steps", None),
     )
-    return config, _CRITERION_FLAG[args.criterion]
 
 
 def cmd_select(args) -> int:
-    config, criterion = _stopping_rule(args)
+    config = _stopping_rule(args)
     basis = build_basis(args.L, args.order)
     dataset = load_csv(args.data, args.y_column, args.t_column, min_rows=2 * args.L)
     _check_screen_k(args.screen_k, dataset.p)
@@ -180,9 +176,7 @@ def cmd_select(args) -> int:
         # The screen ranks covariates only; the intercept stays a candidate
         # (run_forward drops it from the pool when it is in the initial set).
         pool = [0, *marginal_rank_screen(dataset, basis, args.screen_k)]
-    trace = run_forward(
-        dataset, basis, config, initial_set=initial, candidate_pool=pool, criterion=criterion
-    )
+    trace = run_forward(dataset, basis, config, initial_set=initial, candidate_pool=pool)
     fit = fit_full(trace.final_cache, dataset.y)
     grid = curve_grid()
     curves = selection_curves(fit, basis, dataset.column_names, grid)
@@ -198,7 +192,6 @@ def cmd_select(args) -> int:
         "eta": trace.eta,
         "patience": args.patience,
         "max_steps": args.max_steps,
-        "criterion": args.criterion,
         "screen_k": args.screen_k,
         "initial": args.initial,
     }
@@ -275,15 +268,12 @@ def cmd_simulate(args) -> int:
         reps=args.reps,
     )
     _check_screen_k(args.screen_k, scenario.p)
-    config, criterion = _stopping_rule(args)
+    config = _stopping_rule(args)
     build_basis(args.L, args.order)  # validate early
     # Its own stream, so it can be computed before any rep runs.
     snr_estimate = snr(scenario, args.snr_samples)
 
-    tasks = [
-        (scenario, r, args.L, args.order, config, criterion, args.screen_k)
-        for r in range(scenario.reps)
-    ]
+    tasks = [(scenario, r, args.L, args.order, config, args.screen_k) for r in range(scenario.reps)]
     if args.workers > 1:
         # Imported here: it loads multiprocessing, which no other run needs.
         from concurrent.futures import ProcessPoolExecutor
@@ -305,7 +295,6 @@ def cmd_simulate(args) -> int:
         "eta_rule": args.eta_rule,
         "eta": args.eta,
         "patience": args.patience,
-        "criterion": criterion,
         "screen_k": args.screen_k,
         "workers": args.workers,
     }

@@ -249,7 +249,7 @@ def _parse_cells(fh, path, header: list[str]) -> np.ndarray:
     expected field count of a row of the wrong width.
     """
     width = len(header)
-    cells = _parse_in_children(fh, width)
+    cells = _parse_in_children(fh, header)
     if cells is None:
         try:
             cells = _loadtxt(fh)
@@ -287,18 +287,18 @@ def _line_end(fd: int, pos: int) -> int:
     return pos
 
 
-def _parse_in_children(fh, width: int) -> np.ndarray | None:
+def _parse_in_children(fh, header: list[str]) -> np.ndarray | None:
     """The data rows of ``fh`` parsed by forked children, or None when the
     file is not split or a child fails.
 
     A regular file whose data bytes reach SPLIT_BYTES per range is cut at
     line feeds into one range per usable core. Child i parses range i with
     ``_loadtxt`` into one shared array from row (bytes before the range) //
-    (2 * width) on, since a row of ``width`` cells takes at least that many
-    bytes, so no earlier range reaches it; the parent copies the ranges'
-    rows out in order. On None the caller parses in this process, which
-    words every error. ``fh`` is read with ``os.pread`` only, so its
-    position is unchanged.
+    (2 * width) on, since a row of the header's ``width`` cells takes at
+    least that many bytes, so no earlier range reaches it; the parent copies
+    the ranges' rows out in order. On None the caller parses in this
+    process, which words every error. ``fh`` is read with ``os.pread``
+    only, so its position is unchanged.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
@@ -310,11 +310,17 @@ def _parse_in_children(fh, width: int) -> np.ndarray | None:
     ranges = min(_usable_cores(), (size - start) // SPLIT_BYTES)
     if ranges < 2:
         return None
-    # A quote could hold a line feed, and a carriage return inside the
-    # header line would end the header before the data start found above.
-    head = os.pread(fd, start, 0)
-    if b'"' in head or b"\r" in head.rstrip(b"\r\n"):
+    # The data start found above holds only when the header line's bytes
+    # alone read as ``header``: a quoted name can hold a line feed, and a
+    # carriage return can end the header inside the line.
+    try:
+        head = io.StringIO(os.pread(fd, start, 0).decode("utf-8-sig"), newline="")
+        rows = list(csv.reader(head, strict=True))
+    except (UnicodeDecodeError, csv.Error):
         return None
+    if [[h.strip() for h in row] for row in rows] != [header]:
+        return None
+    width = len(header)
     cuts = (_line_end(fd, start + (size - start) * i // ranges) for i in range(1, ranges))
     bounds = sorted({start, *cuts, size})
     # The last row may lack its line feed, hence one spare row.

@@ -205,9 +205,9 @@ class CandidateGrams:
         return DesignBlock(int(self.index[pos]), self.bmat * self.x[:, pos : pos + 1])
 
 
-def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.ndarray:
-    """Score under ``criterion`` of every candidate against the model that
-    ``cache`` factors.
+def sweep(grams: CandidateGrams, cache: ProjectionCache) -> np.ndarray:
+    """Variance drop of every candidate against the model that ``cache``
+    factors.
 
     One pass over the pool, one tile of TILE_COLUMNS candidates at a time.
     On each tile, one GEMM gives the products (Q_a B_l)^T x over the
@@ -218,10 +218,9 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
     reading its pivot and the column below it from that column's slab, and
     z = L^-1 u is solved alongside. Afterwards ``grams.m`` is the width of Q.
 
-    Under "argmin_sigma" a candidate scores its variance drop
-    sigma_sq(S) - sigma_sq(S + candidate) = z.z / n, under "argmax_corr"
-    ||u||. An accepted candidate, and one whose pivot fails the rank rule
-    (degenerate), scores -inf. Never raises.
+    A candidate scores its variance drop sigma_sq(S) - sigma_sq(S +
+    candidate) = z.z / n. An accepted candidate, and one whose pivot fails
+    the rank rule (degenerate), scores -inf. Never raises.
     """
     bmat, q = grams.bmat, cache.q[:, grams.m :]
     (n, k), dim = grams.x.shape, bmat.shape[1]
@@ -251,8 +250,6 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
         chol = scratch[: dim * dim * w].reshape(dim, dim, w)
         z = scratch[dim * dim * w : (dim * dim + dim) * w].reshape(dim, w)
         z[...] = prod[-dim:]
-        if criterion == "argmax_corr":
-            scores[cols] = np.linalg.norm(z, axis=0)
         usable = grams.alive[cols].copy()
         for j in range(dim):
             row, slab = chol[:j, j], gram[starts[j] : starts[j + 1]]
@@ -268,8 +265,7 @@ def sweep(grams: CandidateGrams, cache: ProjectionCache, criterion: str) -> np.n
             col /= pivot
             z[j] -= np.einsum("lk,lk->k", row, z[:j])
             z[j] /= pivot
-        if criterion == "argmin_sigma":
-            scores[cols] = np.einsum("lk,lk->k", z, z) / n
+        scores[cols] = np.einsum("lk,lk->k", z, z) / n
         scores[cols][~usable] = -np.inf
     grams.m = cache.q.shape[1]
     return scores

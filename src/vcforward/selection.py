@@ -37,8 +37,6 @@ TIE_REL_TOL = 1e-12
 # are re-scored on their factor extensions before a winner is taken.
 CONFIRM_REL_TOL = 1e-6
 
-CRITERIA = ("argmin_sigma", "argmax_corr")
-
 
 def auto_eta(n: int, p: int) -> float:
     """Data-driven EBIC weight 1 - log(n) / (3 log(p)); may be negative."""
@@ -138,23 +136,8 @@ class SelectionTrace:
         return [self.ebic_initial] + [s.ebic for s in self.steps]
 
 
-def _exact_score(cache: ProjectionCache, new: ProjectionCache, criterion: str) -> float:
-    """Score under ``criterion`` of the block that extends ``cache`` to ``new``.
-
-    With Qn the new orthonormal columns, rn the new diagonal block of R and
-    r the model's residual, the block with the model span projected out is
-    Qn rn. So with z = Qn^T r its variance drop is z.z / n and its cross
-    product with r is rn^T z.
-    """
-    m = cache.q.shape[1]
-    z = new.q[:, m:].T @ cache.residual_y
-    if criterion == "argmin_sigma":
-        return float(z @ z) / cache.n
-    return float(np.linalg.norm(new.r[m:, m:].T @ z))
-
-
 def _confirmed_winner(
-    cache: ProjectionCache, grams: CandidateGrams, scores: np.ndarray, criterion: str
+    cache: ProjectionCache, grams: CandidateGrams, scores: np.ndarray
 ) -> tuple[int, ProjectionCache] | None:
     """The winner among the pool's alive candidates, as its position and its
     factor extension of ``cache``; None when none is usable.
@@ -164,7 +147,9 @@ def _confirmed_winner(
     CONFIRM_REL_TOL of the best is re-scored on its factor extension
     (skipped when its block fails the rank rule there), and again for any
     that come within the slack of a lower confirmed best; a re-scored
-    candidate's Gram score becomes -inf. The winner is the best re-scored
+    candidate's Gram score becomes -inf. With Qn the extension's new
+    orthonormal columns and r the model's residual, the exact score is the
+    variance drop z.z / n of z = Qn^T r. The winner is the best re-scored
     candidate, near-ties within TIE_REL_TOL going to the earliest position.
     A candidate whose Gram score is further below its exact score than the
     slack is never re-scored, which can happen near the rank rule's edge,
@@ -189,7 +174,8 @@ def _confirmed_winner(
                 new = extend_cache(cache, grams.block(pos))
             except SingularDesignError:
                 continue
-            score = exact[pos] = _exact_score(cache, new, criterion)
+            z = new.q[:, cache.q.shape[1] :].T @ cache.residual_y
+            score = exact[pos] = float(z @ z) / cache.n
             if all(q > pos or exact[q] < score for q in kept):
                 kept = {q: e for q, e in kept.items() if q < pos or exact[q] > score}
                 kept[pos] = new
@@ -209,8 +195,9 @@ def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
     sorted candidate indices: ``candidate_pool`` deduplicated, or by default
     every covariate that is not constant, both without the initial set.
     Raises DataError naming the first out-of-range index in the order given,
-    and SingularDesignError naming the initial covariate whose block fails
-    the rank rule.
+    or when the index variable takes fewer distinct values than the spline
+    dimension, and SingularDesignError naming the initial covariate whose
+    block fails the rank rule.
     """
     initial = tuple(dict.fromkeys(int(j) for j in initial_set))
     for j in initial:
@@ -224,6 +211,13 @@ def _start(dataset: Dataset, basis: SplineBasis, initial_set, candidate_pool):
         if bad.size:
             raise DataError(f"candidate index {bad[0]} is out of range")
         pool_idx = np.setdiff1d(given, initial)
+    # With k distinct index values every block diag(x_j) B has rank at most k.
+    distinct = np.unique(dataset.t).size
+    if distinct < basis.dim:
+        raise DataError(
+            f"the index variable takes {distinct} distinct values, fewer than the spline "
+            f"dimension {basis.dim}, so no covariate's spline block has full rank"
+        )
 
     bmat = basis_matrix(basis, dataset.t)
     blocks = [DesignBlock(j, bmat * dataset.x[:, j : j + 1]) for j in initial]
@@ -251,7 +245,6 @@ def run_forward(
     config: EbicConfig,
     initial_set=(0,),
     candidate_pool=None,
-    criterion: str = "argmin_sigma",
 ) -> SelectionTrace:
     """Run the forward pass on a dataset and return its trace.
 
@@ -270,11 +263,7 @@ def run_forward(
         Restrict candidates to these covariate indices (screening). By
         default every covariate outside the initial set is eligible,
         except constant columns flagged on the dataset.
-    criterion : str
-        "argmin_sigma" (default) or "argmax_corr".
     """
-    if criterion not in CRITERIA:
-        raise ConfigError(f"unknown criterion {criterion!r}; choose from {CRITERIA}")
     n, dim = dataset.n, basis.dim
     eta = config.resolve_eta(n, dataset.p)
     initial, cache, grams = _start(dataset, basis, initial_set, candidate_pool)
@@ -294,7 +283,7 @@ def run_forward(
     best_val, best_len, best_cache = ebic0, 0, cache
     streak = 0
     while len(steps) < max_steps and grams.alive.any() and streak < config.patience:
-        winner = _confirmed_winner(cache, grams, sweep(grams, cache, criterion), criterion)
+        winner = _confirmed_winner(cache, grams, sweep(grams, cache))
         if winner is None:
             break
         pos, cache = winner
@@ -337,6 +326,6 @@ def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> l
     _, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
     # exact fit first.
-    sigma_j = cache.sigma_sq - sweep(grams, cache, "argmin_sigma")
+    sigma_j = cache.sigma_sq - sweep(grams, cache)
     order = np.argsort(np.where(sigma_j > 0.0, sigma_j, -np.inf), kind="stable")
     return grams.index[order[:keep_k]].tolist()

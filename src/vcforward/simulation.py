@@ -313,7 +313,6 @@ def run_rep(
     rep_index: int,
     basis: SplineBasis,
     config: EbicConfig,
-    criterion: str = "argmin_sigma",
     screen_k: int = 0,
 ) -> tuple[RepMetrics, SelectionTrace]:
     """Generate one repetition, select, refit and score it.
@@ -328,14 +327,7 @@ def run_rep(
             f"at spline dimension {basis.dim}"
         )
     pool = marginal_rank_screen(train, basis, screen_k) if screen_k > 0 else None
-    trace = run_forward(
-        train,
-        basis,
-        config,
-        initial_set=(0,),
-        candidate_pool=pool,
-        criterion=criterion,
-    )
+    trace = run_forward(train, basis, config, initial_set=(0,), candidate_pool=pool)
     fit = fit_full(trace.final_cache, train.y)
     del train
     columns = tuple(sorted({0, *support, *trace.final_set}))
@@ -346,7 +338,7 @@ def run_rep(
 
 def _rep_task(args):
     """Picklable worker: one repetition end to end (used by the CLI pool)."""
-    scenario, rep_index, dim, order, config, criterion, screen_k = args
+    scenario, rep_index, dim, order, config, screen_k = args
     basis = build_basis(dim, order)
-    metrics, trace = run_rep(scenario, rep_index, basis, config, criterion, screen_k)
+    metrics, trace = run_rep(scenario, rep_index, basis, config, screen_k)
     return rep_index, metrics, trace.final_set, trace.stop_reason

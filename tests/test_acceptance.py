@@ -24,12 +24,9 @@ FEBIC = vf.EbicConfig(eta_rule="auto", patience=5)
 REPS = 50
 
 
-def _mc_run(example, t1, t2, config, seed=1, reps=REPS, criterion="argmin_sigma"):
+def _mc_run(example, t1, t2, config, seed=1, reps=REPS):
     scenario = vf.SimScenario(example, n=400, p=1000, t1=t1, t2=t2, seed=seed, reps=reps)
-    metrics = [
-        vf.run_rep(scenario, r, BASIS, config, criterion=criterion)[0]
-        for r in range(reps)
-    ]
+    metrics = [vf.run_rep(scenario, r, BASIS, config)[0] for r in range(reps)]
     return vf.aggregate(metrics), metrics
 
 
@@ -222,8 +219,8 @@ def test_criterion_7_numerical_properties():
         )
     )
 
-    # Scale equivariance of the first forward step: argmin invariant, sigma
-    # and its drop scale by c^2.
+    # Scale equivariance of the first forward step under the response's
+    # scale: argmin invariant, sigma and its drop scale by c^2.
     scenario = vf.SimScenario("ex1", n=240, p=40, t1=2.0, t2=0.0, seed=11, reps=1)
     train, _ = vf.generate(scenario, 0)
     basis = vf.build_basis(6, 4)
@@ -240,6 +237,16 @@ def test_criterion_7_numerical_properties():
         ok_scale &= abs(sigma_c - c**2 * base.sigma_sq_initial) <= 1e-9 * sigma_c
         d_c = scaled.steps[0].delta_rss
         ok_scale &= abs(d_c - c**2 * base.steps[0].delta_rss) <= 1e-7 * max(d_c, 1e-30)
+    # Covariate units leave the whole path and the final set unchanged: a
+    # support covariate (1) or a noise covariate (20) scaled by 1e-3 or by
+    # 1e3, and every covariate by its own factor in [1e-3, 1e3].
+    full = vf.run_forward(train, basis, FBIC)
+    factors = [np.where(np.arange(train.p + 1) == j, c, 1.0) for j in (1, 20) for c in (1e-3, 1e3)]
+    factors.append(np.r_[1.0, 10.0 ** np.random.default_rng(13).uniform(-3.0, 3.0, train.p)])
+    for f in factors:
+        scaled = vf.run_forward(replace(train, x=train.x * f), basis, FBIC)
+        ok_scale &= [s.index for s in scaled.steps] == [s.index for s in full.steps]
+        ok_scale &= scaled.final_set == full.final_set
 
     ok = ok_pou and ok_orth and ok_mono and ok_bic and ok_scale
     _report(

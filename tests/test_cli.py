@@ -405,10 +405,13 @@ def test_simulate_unknown_scenario_key_lists_valid(tmp_path, capsys):
         ("example=ex1\nn\n", "{path}:2: expected key=value, got 'n'"),
         # A value meets its flag's type and choices; the error names the file.
         ("example=ex1\nn=abc\n", "{path}: argument --n: invalid int value: 'abc'"),
-        ("example=ex1\ncriterion=bogus\n", "{path}: argument --criterion: invalid choice: 'bogus'"),
-        ("example=ex1\ncriterion=argmin_sigma\n", "invalid choice: 'argmin_sigma'"),
+        ("example=ex1\neta_rule=bogus\n", "{path}: argument --eta-rule: invalid choice: 'bogus'"),
+        # There is one selection criterion: a criterion line, in either
+        # spelling, is an unknown key.
+        ("example=ex1\ncriterion=argmin-sigma\n", "{path}:2: unknown key 'criterion'"),
+        ("example=ex1\ncriterion=argmin_sigma\n", "{path}:2: unknown key 'criterion'"),
     ],
-    ids=["no-equals", "bad-value", "bad-criterion", "underscore-criterion"],
+    ids=["no-equals", "bad-value", "bad-choice", "bad-criterion", "underscore-criterion"],
 )
 def test_simulate_bad_scenario_file_is_usage_error(tmp_path, monkeypatch, capsys, text, message):
     calls = []
@@ -446,7 +449,6 @@ _SCENARIO_CASES = {
     "eta_rule": ("settings", "eta_rule", "auto", "explicit", str),
     "eta": ("settings", "eta", "0.5", "0.25", float),
     "patience": ("settings", "patience", "2", "3", int),
-    "criterion": ("settings", "criterion", "argmax-corr", "argmin-sigma", lambda v: v.replace("-", "_")),
     "screen_k": ("settings", "screen_k", "10", "5", int),
 }
 
@@ -615,6 +617,11 @@ def test_basis_check_invalid_config(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["select", "--nope"]) == 1
+    # There is one selection criterion, and no flag that names it.
+    required = ["--data", "d.csv", "--y-column", "y", "--t-column", "t"]
+    for args in (["select", *required], ["simulate", "--example", "ex1"]):
+        assert main([*args, "--criterion", "argmin-sigma"]) == 1
+        assert "unrecognized arguments: --criterion argmin-sigma" in capsys.readouterr().err
 
 
 def _named_csv(path, names, seed=0, n=40):
@@ -780,10 +787,12 @@ def test_simulate_screen_smaller_than_the_support(tmp_path):
 def test_select_on_tied_or_clustered_index_values(tmp_path, capsys, law):
     # Index values with three distinct values, or all within 1e-5 of 0.5
     # (inside [0, 1], so not rescaled): every spline block spans at most
-    # three basis functions of the L=7 basis. Expected: the default initial
-    # set is a numerical error (exit 3); an empty initial set is a result
-    # (exit 0) with no covariate, since every candidate is degenerate, and
-    # its report and (grid-only) curves file are written.
+    # three basis functions of the L=7 basis. Three distinct values are
+    # fewer than the spline dimension, a data error (exit 2) whatever the
+    # initial set. Clustered values are all distinct: the default initial
+    # set is a numerical error (exit 3), and an empty initial set is a
+    # result (exit 0) with no covariate, since every candidate is
+    # degenerate, and its report and (grid-only) curves file are written.
     rng = np.random.default_rng(71)
     n, p = 200, 5
     t = law(rng, n)
@@ -796,23 +805,26 @@ def test_select_on_tied_or_clustered_index_values(tmp_path, capsys, law):
     out, curves = tmp_path / "r.json", tmp_path / "c.csv"
     argv = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
             "--out", str(out), "--curves-out", str(curves), "--no-timestamp"]
+    if np.unique(t).size == 3:
+        for initial in ("intercept", "empty"):
+            assert main([*argv, "--initial", initial]) == 2
+            err = capsys.readouterr().err
+            assert "the index variable takes 3 distinct values, fewer than the spline dimension 7" in err
+            assert not out.exists() and not curves.exists()
+        return
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "initial covariate 'intercept': its spline block is rank deficient on its own" in err
     assert not out.exists()
-    for criterion in ("argmin-sigma", "argmax-corr"):
-        code = main([*argv, "--initial", "empty", "--criterion", criterion])
-        assert code == 0, capsys.readouterr().err
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["selection"]["final_set"] == [] and report["selection"]["steps"] == []
-        assert report["selection"]["stop_reason"] == "candidates_exhausted"
-        assert report["dataset"]["rescale_map"] == [0.0, 1.0]
-        assert list(report["curves"]) == ["t"]
-        rows = curves.read_text(encoding="utf-8").splitlines()
-        assert rows[0] == "t" and len(rows) == 102
-        assert "selected 0 covariates" in capsys.readouterr().out
-        out.unlink()
-        curves.unlink()
+    assert main([*argv, "--initial", "empty"]) == 0, capsys.readouterr().err
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["selection"]["final_set"] == [] and report["selection"]["steps"] == []
+    assert report["selection"]["stop_reason"] == "candidates_exhausted"
+    assert report["dataset"]["rescale_map"] == [0.0, 1.0]
+    assert list(report["curves"]) == ["t"]
+    rows = curves.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "t" and len(rows) == 102
+    assert "selected 0 covariates" in capsys.readouterr().out
 
 
 def test_cli_import_loads_no_process_pool():

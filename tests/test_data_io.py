@@ -539,6 +539,8 @@ def _rows_text(seed, n=40, t_col=1, t_range=(0.0, 1.0), eol="\n"):
 _SPLIT_CASES = {
     "plain": ("y,t,a,b\n" + _rows_text(1), "y", "t"),
     "bom": ("\ufeffy,t,a,b\n" + _rows_text(2), "y", "t"),
+    # Every name quoted, as R's write.csv writes a header.
+    "quoted-header": ('"y","t","a","b"\n' + _rows_text(12), "y", "t"),
     "crlf": ("y,t,a,b\r\n" + _rows_text(3, eol="\r\n"), "y", "t"),
     # With two ranges the cut falls inside the block of blank lines.
     "blank-lines-at-cut": (
@@ -656,12 +658,19 @@ def test_split_parse_keeps_the_one_process_errors(tmp_path, monkeypatch, last_ro
 
 
 def test_split_parse_falls_back_on_a_quoted_header(tmp_path, monkeypatch):
+    # A quoted name holds a line feed, so the header's first line alone does
+    # not read as the header. When the name ends the header and the line
+    # feed ends the name, the line's stripped fields do, unless an unclosed
+    # quote counts as an error.
     path = tmp_path / "quoted.csv"
-    path.write_bytes(('"y",t,a,b\n' + _rows_text(12)).encode("utf-8"))
-    want = vf.load_csv(path, "y", "t")
-    forks = _force_split(monkeypatch, 2)
-    _assert_same_dataset(vf.load_csv(path, "y", "t"), want)
-    assert not forks
+    for header in ('y,t,"a\nb",c\n', 'y,t,c,"a\n"\n'):
+        path.write_bytes((header + _rows_text(12)).encode("utf-8"))
+        want = vf.load_csv(path, "y", "t")
+        with monkeypatch.context() as patch:
+            forks = _force_split(patch, 2)
+            parses = _count_parses(patch)
+            _assert_same_dataset(vf.load_csv(path, "y", "t"), want)
+        assert not forks and len(parses) == 1
 
 
 @pytest.mark.parametrize("fails_at", [1, 2, 3])

@@ -196,26 +196,6 @@ def test_extended_cache_coefficients_match_full_fit():
     np.testing.assert_allclose(gamma[2 * basis.dim :], full.gamma[2 * basis.dim :], atol=1e-9)
 
 
-def test_argmax_corr_picks_dense_projector_argmax():
-    basis, t, x, y = _instance(16, n=50)
-    blocks = _blocks(basis, t, x, [0, 1])
-    proj = dense_projector(np.hstack([b.matrix for b in blocks]))
-    yt = y - proj @ y
-    pool = _blocks(basis, t, x, [2, 3, 4, 5, 6])
-    corr = {
-        b.covariate_index: float(np.linalg.norm((b.matrix - proj @ b.matrix).T @ yt))
-        for b in pool
-    }
-    want = max(corr, key=lambda j: (corr[j], -j))
-    # Covariate 7 is all zeros: its block is degenerate and never wins.
-    ds = vf.from_arrays(y, t, np.column_stack([x[:, 1:], np.zeros(len(t))]))
-    full, alone = (
-        vf.run_forward(ds, basis, ONE_STEP, (0, 1), candidate_pool=pool, criterion="argmax_corr")
-        for pool in ([2, 3, 4, 5, 6, 7], [7])
-    )
-    assert full.steps[0].index == want and alone.steps == ()
-
-
 def test_rank_rule_agrees_across_kernel_and_cache():
     basis, t, x, y = _instance(21)
     cache = vf.build_projection_cache(_blocks(basis, t, x, [0, 1]), y)

@@ -236,20 +236,20 @@ def test_confirmation_rescores_until_the_winner_is_explicit():
             drops[j] = -np.inf
     assert max(drops, key=drops.get) == 3
     for scores in ([1e9, 1.0, 2.0], [1e9, 2.0, 2.0 * (1.0 + 1e-7)], [np.inf, 0.5, 0.0]):
-        pos, extended = selection._confirmed_winner(cache, grams, np.array(scores), "argmin_sigma")
+        pos, extended = selection._confirmed_winner(cache, grams, np.array(scores))
         assert pos == 1
         # The winner comes with its factor extension, the step's next model.
         assert extended.index_set == (0, 1, 3)
         np.testing.assert_array_equal(extended.q, extensions[3].q)
         assert extended.sigma_sq == extensions[3].sigma_sq
     grams.alive[:] = False
-    dead = selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]), "argmin_sigma")
+    dead = selection._confirmed_winner(cache, grams, np.array([1.0, 2.0, 3.0]))
     assert dead is None
     # Many exact ties, each re-scored on its own factor extension: the tie
     # goes to the first position.
     copies = CandidateGrams(bmat, np.repeat(x[:, 2:3], 300, axis=1), np.arange(300))
     scores = np.ones(300)
-    pos, extended = selection._confirmed_winner(cache, copies, scores, "argmin_sigma")
+    pos, extended = selection._confirmed_winner(cache, copies, scores)
     assert pos == 0
     assert extended.index_set == (0, 1, 0)
 
@@ -346,10 +346,10 @@ def test_run_forward_updates_the_grams_only_before_a_sweep(monkeypatch):
     calls, pools = [], []
     sweep_of = selection.sweep
 
-    def counting(grams, cache, criterion):
+    def counting(grams, cache):
         calls.append(cache.q.shape[1] - grams.m)
         pools.append(grams)
-        return sweep_of(grams, cache, criterion)
+        return sweep_of(grams, cache)
 
     monkeypatch.setattr(selection, "sweep", counting)
     sc = vf.SimScenario("ex2", n=400, p=2000, t1=2.0, t2=1.0, seed=5, reps=1)
@@ -408,8 +408,8 @@ def test_each_step_extends_the_factor_once_per_short_listed_candidate(monkeypatc
         calls.append((cache.index_set, block.covariate_index))
         return extend(cache, block)
 
-    def short_listing(grams, cache, criterion):
-        scores = sweep_of(grams, cache, criterion)
+    def short_listing(grams, cache):
+        scores = sweep_of(grams, cache)
         best = scores.max()
         near = grams.alive & (scores >= best * (1.0 - selection.CONFIRM_REL_TOL))
         short_lists.append(grams.index[near].tolist())
@@ -423,25 +423,20 @@ def test_each_step_extends_the_factor_once_per_short_listed_candidate(monkeypatc
     x = train.x[:, 1:].copy()
     x[:, 9] = x[:, 0]
     ds = vf.from_arrays(train.y, train.t, x)
-    for criterion in selection.CRITERIA:
-        calls.clear()
-        short_lists.clear()
-        trace = vf.run_forward(
-            ds, vf.build_basis(7, 4), vf.EbicConfig(eta=0.0), criterion=criterion
-        )
-        assert [1, 10] in short_lists
-        assert 10 not in trace.final_set
-        assert calls[:1] == [((), 0)]
-        accepted = [s.index for s in trace.steps]
-        models = [trace.initial_set + tuple(accepted[:i]) for i in range(len(short_lists))]
-        want = [(model, j) for model, listed in zip(models, short_lists) for j in listed]
-        assert calls[1:] == want
-        assert len(set(calls)) == len(calls) == 1 + sum(map(len, short_lists))
+    trace = vf.run_forward(ds, vf.build_basis(7, 4), vf.EbicConfig(eta=0.0))
+    assert [1, 10] in short_lists
+    assert 10 not in trace.final_set
+    assert calls[:1] == [((), 0)]
+    accepted = [s.index for s in trace.steps]
+    models = [trace.initial_set + tuple(accepted[:i]) for i in range(len(short_lists))]
+    want = [(model, j) for model, listed in zip(models, short_lists) for j in listed]
+    assert calls[1:] == want
+    assert len(set(calls)) == len(calls) == 1 + sum(map(len, short_lists))
 
 
 def test_sweep_and_run_forward_do_not_depend_on_the_tile_width(monkeypatch):
     # About 1000 candidates, swept in tiles of 7, of 300 (which does not
-    # divide the pool) and in one tile, under each criterion. Each
+    # divide the pool) and in one tile. Each
     # candidate's arithmetic is the same in every tile, but OpenBLAS's GEMM
     # makes a column's last bits depend on the number of columns it is
     # given, so the scores agree to 1e-12 relative (8e-15 measured), and
@@ -450,29 +445,27 @@ def test_sweep_and_run_forward_do_not_depend_on_the_tile_width(monkeypatch):
     train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(7, 4)
 
-    def run(width, criterion):
+    def run(width):
         monkeypatch.setattr(regression, "TILE_COLUMNS", width)
         _, cache, grams = selection._start(train, basis, (0,), None)
-        first = sweep(grams, cache, criterion)
-        second = sweep(grams, vf.extend_cache(cache, grams.block(int(np.argmax(first)))), criterion)
-        config = vf.EbicConfig(eta=0.0)
-        return (first, second), vf.run_forward(train, basis, config, criterion=criterion)
+        first = sweep(grams, cache)
+        second = sweep(grams, vf.extend_cache(cache, grams.block(int(np.argmax(first)))))
+        return (first, second), vf.run_forward(train, basis, vf.EbicConfig(eta=0.0))
 
-    for criterion in selection.CRITERIA:
-        scores, trace = run(train.p, criterion)
-        assert len(trace.steps) > 5
-        for width in (7, 300, train.p, 2 * train.p):
-            got, other = run(width, criterion)
-            for a, b in zip(got, scores):
-                assert (np.isfinite(a) == np.isfinite(b)).all()
-                if width >= train.p:
-                    np.testing.assert_array_equal(a, b)
-                else:
-                    fin = np.isfinite(b)
-                    np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12, atol=0.0)
-            assert other == trace
-            np.testing.assert_array_equal(other.final_cache.r, trace.final_cache.r)
-            np.testing.assert_array_equal(other.final_cache.q, trace.final_cache.q)
+    scores, trace = run(train.p)
+    assert len(trace.steps) > 5
+    for width in (7, 300, train.p, 2 * train.p):
+        got, other = run(width)
+        for a, b in zip(got, scores):
+            assert (np.isfinite(a) == np.isfinite(b)).all()
+            if width >= train.p:
+                np.testing.assert_array_equal(a, b)
+            else:
+                fin = np.isfinite(b)
+                np.testing.assert_allclose(a[fin], b[fin], rtol=1e-12, atol=0.0)
+        assert other == trace
+        np.testing.assert_array_equal(other.final_cache.r, trace.final_cache.r)
+        np.testing.assert_array_equal(other.final_cache.q, trace.final_cache.q)
 
 
 def test_a_steps_scratch_does_not_grow_with_the_pool():
@@ -515,10 +508,10 @@ def test_the_confirmation_holds_only_its_short_list():
         ds = vf.from_arrays(2.0 * x[:, 0] * t + rng.standard_normal(n), t, x)
         _, cache, grams = selection._start(ds, basis, (0,), None)
         for _ in range(3):
-            scores = sweep(grams, cache, "argmin_sigma")
+            scores = sweep(grams, cache)
             tracemalloc.start()
             try:
-                pos, cache = selection._confirmed_winner(cache, grams, scores, "argmin_sigma")
+                pos, cache = selection._confirmed_winner(cache, grams, scores)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -672,9 +665,9 @@ def test_candidate_pool_owns_its_indices_blocks_and_live_mask():
     block = grams.block(1)
     assert isinstance(block, vf.DesignBlock) and block.covariate_index == 3
     np.testing.assert_array_equal(block.matrix, vf.basis_matrix(basis, ds.t) * ds.x[:, 3:4])
-    assert np.isfinite(sweep(grams, cache, "argmin_sigma")).all()
+    assert np.isfinite(sweep(grams, cache)).all()
     grams.alive[1] = False
-    assert sweep(grams, cache, "argmin_sigma")[1] == -np.inf
+    assert sweep(grams, cache)[1] == -np.inf
 
 
 def test_run_forward_exact_fit_on_zero_response():
@@ -711,20 +704,17 @@ def test_run_forward_exact_fit_after_a_step(monkeypatch):
 
 
 def test_run_forward_empty_initial_set():
-    # ex1 has no constant term. Expected under both criteria: the intercept
-    # never enters, and the final set is exactly the support x1..x4,
-    # accepted in the first four steps.
+    # ex1 has no constant term. Expected: the intercept never enters, and
+    # the final set is exactly the support x1..x4, accepted in the first
+    # four steps.
     sc = vf.SimScenario("ex1", n=300, p=30, t1=0.0, t2=0.0, seed=12, reps=1)
     train, _ = vf.generate(sc, 0)
     basis = vf.build_basis(5, 4)
-    for criterion in ("argmin_sigma", "argmax_corr"):
-        trace = vf.run_forward(
-            train, basis, vf.EbicConfig(eta=0.0, patience=5), initial_set=(), criterion=criterion
-        )
-        assert trace.initial_set == ()
-        assert sorted(trace.final_set) == [1, 2, 3, 4]
-        assert trace.final_set == tuple(s.index for s in trace.steps[:4])
-        assert trace.stop_reason == "patience_exhausted"
+    trace = vf.run_forward(train, basis, vf.EbicConfig(eta=0.0, patience=5), initial_set=())
+    assert trace.initial_set == ()
+    assert sorted(trace.final_set) == [1, 2, 3, 4]
+    assert trace.final_set == tuple(s.index for s in trace.steps[:4])
+    assert trace.stop_reason == "patience_exhausted"
 
 
 def _rebuilt_fit(dataset, basis, index_set):
@@ -845,19 +835,3 @@ def test_run_forward_with_screen_matches_restricted_pool():
     )
     assert set(trace.final_set) - {0} <= set(kept)
 
-
-def test_argmax_corr_criterion_runs_and_differs_sensibly():
-    sc = vf.SimScenario("ex1", n=300, p=60, t1=0.0, t2=0.0, seed=31, reps=1)
-    train, support = vf.generate(sc, 0)
-    basis = vf.build_basis(6, 4)
-    trace = vf.run_forward(
-        train, basis, vf.EbicConfig(eta=0.0, patience=5), criterion="argmax_corr"
-    )
-    assert set(support) <= set(trace.final_set)
-
-
-def test_unknown_criterion_rejected():
-    ds = _noise_dataset(1, n=100, p=4)
-    basis = vf.build_basis(5, 4)
-    with pytest.raises(ConfigError):
-        vf.run_forward(ds, basis, vf.EbicConfig(), criterion="argmin_pvalue")
