@@ -165,7 +165,7 @@ def cmd_select(args) -> int:
         warnings.append(
             f"constant covariate {dataset.column_names[j]!r} excluded from candidates"
         )
-    if args.eta_rule == "auto":
+    if args.eta_rule == "auto" and dataset.p > 1:
         raw = auto_eta(dataset.n, dataset.p)
         if raw < 0.0:
             warnings.append(f"auto eta {raw:.4f} clamped to 0")
@@ -177,6 +177,9 @@ def cmd_select(args) -> int:
         # (run_forward drops it from the pool when it is in the initial set).
         pool = [0, *marginal_rank_screen(dataset, basis, args.screen_k)]
     trace = run_forward(dataset, basis, config, initial_set=initial, candidate_pool=pool)
+    if trace.stop_reason == "max_steps" and not trace.steps:
+        given = "without --max-steps" if args.max_steps is None else f"with --max-steps {args.max_steps}"
+        warnings.append(f"no forward step: the step cap was 0 at n={dataset.n}, L={args.L} {given}")
     fit = fit_full(trace.final_cache, dataset.y)
     grid = curve_grid()
     curves = selection_curves(fit, basis, dataset.column_names, grid)

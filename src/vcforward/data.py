@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import mmap
 import os
 import re
 import stat
@@ -293,12 +292,11 @@ def _parse_in_children(fh, header: list[str]) -> np.ndarray | None:
 
     A regular file whose data bytes reach SPLIT_BYTES per range is cut at
     line feeds into one range per usable core. Child i parses range i with
-    ``_loadtxt`` into one shared array from row (bytes before the range) //
-    (2 * width) on, since a row of the header's ``width`` cells takes at
-    least that many bytes, so no earlier range reaches it; the parent copies
-    the ranges' rows out in order. On None the caller parses in this
-    process, which words every error. ``fh`` is read with ``os.pread``
-    only, so its position is unchanged.
+    ``_loadtxt`` and sends its shape, once parsed, then its rows down pipe i;
+    the parent reads every shape, then each child's rows straight into their
+    slice of one array, in file order. On None the caller parses in this
+    process, which words every error. ``fh`` is read with ``os.pread`` only,
+    so its position is unchanged.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return None
@@ -323,60 +321,52 @@ def _parse_in_children(fh, header: list[str]) -> np.ndarray | None:
     width = len(header)
     cuts = (_line_end(fd, start + (size - start) * i // ranges) for i in range(1, ranges))
     bounds = sorted({start, *cuts, size})
-    # The last row may lack its line feed, hence one spare row.
-    offsets = [(b - start) // (2 * width) for b in bounds[:-1]]
-    offsets.append((size - start) // (2 * width) + 1)
-    pids, forked = [], True
+    pipes, pids = [], []
     try:
-        buf = mmap.mmap(-1, offsets[-1] * width * 8)
-        shared = np.frombuffer(buf).reshape(-1, width)
-        shapes = np.frombuffer(mmap.mmap(-1, 16 * len(bounds)), dtype=np.int64).reshape(-1, 2)
-        for i in range(len(bounds) - 1):
-            pid = os.fork()
-            if pid == 0:
-                out = shared[offsets[i] : offsets[i + 1]]
-                _parse_range(fd, bounds[i], bounds[i + 1], out, shapes[i])
+        for begin, end in zip(bounds, bounds[1:]):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            # After the fork the write end is the child's and the read end the
+            # parent's, so a blocked write fails (EPIPE) once the parent closes.
+            with open(write, "wb") as sink:
+                if (pid := os.fork()) == 0:
+                    os.close(read)
+                    _parse_range(fd, begin, end, sink)
             pids.append(pid)
-    except OSError:
-        forked = False
+        shapes = np.empty((len(pipes), 2), np.int64)
+        _fill(pipes, shapes)
+        if any(rows and got != width for rows, got in shapes.tolist()):
+            return None
+        cells = np.empty((shapes[:, 0].sum(), width))
+        _fill(pipes, np.split(cells, shapes[:-1, 0].cumsum()))
+    except (OSError, EOFError):
+        return None
     finally:
+        for pipe in pipes:
+            pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    if not forked or any(statuses):
-        return None
-    shapes = shapes[: len(pids)].tolist()
-    if any(rows and got != width for rows, got in shapes):
-        return None
-    # The rows are copied out in file order, in blocks of about 1 MiB, into
-    # numpy's memory: a Dataset left in the shared pages took about 3 ms
-    # more to free. Each block's shared pages then leave this process's
-    # resident set (their contents stay in the shared object), so the cells
-    # are never resident twice.
-    cells = np.empty((sum(rows for rows, _ in shapes), width))
-    row_bytes, n = 8 * width, 0
-    step = max(1, (1 << 20) // row_bytes)
-    for (rows, _), at in zip(shapes, offsets):
-        for lo in range(at, at + rows, step):
-            hi = min(lo + step, at + rows)
-            cells[n : n + hi - lo] = shared[lo:hi]
-            n += hi - lo
-            page = lo * row_bytes // mmap.PAGESIZE * mmap.PAGESIZE
-            buf.madvise(mmap.MADV_DONTNEED, page, hi * row_bytes - page)
-    return cells
+    return None if any(statuses) else cells
 
 
-def _parse_range(fd: int, begin: int, end: int, out: np.ndarray, shape: np.ndarray) -> None:
-    """Forked child: parse bytes [begin, end) of file ``fd`` into the first
-    rows of ``out`` and record (rows, width) in ``shape``. Exits 0 on
-    success and nonzero on a quote, a short read or any error; never
-    returns."""
+def _fill(pipes, parts) -> None:
+    """Fill each of ``parts`` from its pipe; EOFError when a pipe ends first."""
+    for pipe, part in zip(pipes, parts):
+        if pipe.readinto(part) != part.nbytes:
+            raise EOFError
+
+
+def _parse_range(fd: int, begin: int, end: int, out) -> None:
+    """Forked child: parse bytes [begin, end) of file ``fd``, write their
+    (rows, width) as two int64 and then the rows to the pipe ``out``, and exit
+    0; exit nonzero on a quote, a short read or any error. Never returns."""
     code = 1
     try:
         raw = os.pread(fd, end - begin, begin)
         if len(raw) == end - begin and b'"' not in raw:
             part = _loadtxt(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
-            shape[:] = part.shape
-            if len(part) and part.shape[1] == out.shape[1]:
-                out[: len(part)] = part
+            out.write(np.array(part.shape, np.int64))
+            out.write(part)
+            out.flush()
             code = 0
     finally:
         os._exit(code)

@@ -65,7 +65,8 @@ class EbicConfig:
     """Stopping-rule settings for the forward pass.
 
     ``eta_rule`` is "explicit" (use ``eta`` as given; 0 = BIC) or "auto"
-    (eta = 1 - log n / (3 log p), clamped to [0, 1]; ``eta`` must stay 0).
+    (eta = 1 - log n / (3 log p), clamped to [0, 1], and 0 when p = 1;
+    ``eta`` must stay 0).
     ``patience`` is the number of consecutive criterion increases tolerated.
     ``max_steps`` caps accepted covariates; None uses n // (2 dim) minus the
     initial set size, keeping two observations per coefficient.
@@ -91,7 +92,8 @@ class EbicConfig:
             raise ConfigError("max_steps must be nonnegative")
 
     def resolve_eta(self, n: int, p: int) -> float:
-        if self.eta_rule == "explicit":
+        # At p = 1 the penalty's 2 eta log p is 0; "auto" keeps ``eta`` at 0.
+        if self.eta_rule == "explicit" or p == 1:
             return self.eta
         return min(1.0, max(0.0, auto_eta(n, p)))
 

@@ -77,6 +77,21 @@ def test_select_auto_eta_echoed(tmp_path):
     want = 1.0 - math.log(400) / (3.0 * math.log(40))
     assert report["selection"]["eta"] == pytest.approx(want, rel=1e-12)
 
+    # With one covariate the penalty 2 eta log p is 0 for every eta: auto
+    # gives eta 0 and selects as the BIC does.
+    rng = np.random.default_rng(4)
+    t, x = rng.random(100), rng.standard_normal(100)
+    one = _cells_csv(tmp_path / "one.csv", ["y", "t", "a"], [x * (1.0 + t) + rng.standard_normal(100), t, x])
+    select = ["select", "--data", str(one), "--y-column", "y", "--t-column", "t", "--L", "5", "--no-timestamp"]
+    reports = []
+    for rule in ("auto", "explicit"):
+        assert main(select + ["--eta-rule", rule, "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    auto, bic = reports
+    assert auto["config"]["eta"] == 0.0 and auto["warnings"] == []
+    assert auto["selection"] == bic["selection"]
+    assert auto["selection"]["final_names"] == ["intercept", "a"]
+
 
 def test_select_eta_conflict_is_usage_error(tmp_path, capsys):
     data = _noise_csv(tmp_path / "n2.csv")
@@ -752,6 +767,24 @@ def test_select_with_n_just_above_the_coefficient_count(tmp_path, capsys):
             blocks = [vf.DesignBlock(j, bmat * ds.x[:, j : j + 1]) for j in path[:k]]
             assert sigma == pytest.approx(lstsq_sigma_sq(blocks, ds.y), rel=1e-8)
         assert sigmas[-1] > 0.0
+
+
+def test_select_warns_when_no_forward_step_was_allowed(tmp_path, capsys):
+    # n = 22 at L = 7 leaves no step after the intercept under the default
+    # cap, as does --max-steps 0 at any n; either report says so.
+    rng = np.random.default_rng(62)
+    n = 22
+    t, x = rng.random(n), rng.standard_normal((n, 3))
+    data = _cells_csv(tmp_path / "short.csv", ["y", "t", "a", "b", "c"], [x[:, 0] + t, t, x])
+    out = tmp_path / "r.json"
+    select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t", "--L", "7",
+              "--no-timestamp", "--out", str(out)]
+    for flags, given in (([], "without --max-steps"), (["--max-steps", "0"], "with --max-steps 0")):
+        assert main(select + flags) == 0, capsys.readouterr().err
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["selection"]["stop_reason"] == "max_steps"
+        assert report["selection"]["steps"] == [] and report["selection"]["final_names"] == ["intercept"]
+        assert report["warnings"] == [f"no forward step: the step cap was 0 at n=22, L=7 {given}"]
 
 
 def test_simulate_screen_smaller_than_the_support(tmp_path):

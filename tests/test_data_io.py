@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -571,9 +572,18 @@ def _force_split(monkeypatch, cores):
     return forks
 
 
-def _assert_no_child_left():
+def _open_fds():
+    """The descriptors open in this process, or None without /proc/self/fd."""
+    fd_dir = "/proc/self/fd"
+    return sorted(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+
+
+def _assert_no_child_left(fds):
+    """No child of this process is left, and the open descriptors are
+    ``fds``, as listed before the load."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def _assert_same_dataset(got, want):
@@ -605,8 +615,9 @@ def test_split_parse_equals_one_process_parse(tmp_path, monkeypatch, case, cores
     one = vf.load_csv(path, y_column, t_column)
     forks = _force_split(monkeypatch, cores)
     parses = _count_parses(monkeypatch)
+    fds = _open_fds()
     split = vf.load_csv(path, y_column, t_column)
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     assert len(forks) == cores and not parses
     _assert_same_dataset(split, one)
     if case == "rescaled-index":
@@ -641,11 +652,12 @@ def test_split_parse_keeps_the_one_process_errors(tmp_path, monkeypatch, last_ro
         want = str(exc)
     forks = _force_split(monkeypatch, cores)
     parses = _count_parses(monkeypatch)
+    fds = _open_fds()
     try:
         got = vf.load_csv(path, "y", "t")
     except DataError as exc:
         got = str(exc)
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     assert len(forks) == cores
     # A NaN passes the children and is found after the split parse; every
     # other row sends the file to the one-process parse.
@@ -689,24 +701,82 @@ def test_split_parse_falls_back_when_fork_fails(tmp_path, monkeypatch, fails_at)
 
     monkeypatch.setattr(os, "fork", failing_fork)
     parses = _count_parses(monkeypatch)
+    fds = _open_fds()
     got = vf.load_csv(path, "y", "t")
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     assert len(forks) == fails_at - 1 and len(parses) == 1
     _assert_same_dataset(got, want)
 
 
-def test_split_parse_falls_back_when_shared_memory_fails(tmp_path, monkeypatch):
-    path = tmp_path / "mmap.csv"
+@pytest.mark.parametrize("fails_at", [1, 2])
+def test_split_parse_falls_back_when_a_pipe_fails(tmp_path, monkeypatch, fails_at):
+    # No descriptor is left for the first or the second range's pipe: the
+    # child already forked is reaped and every pipe end is closed.
+    path = tmp_path / "pipe.csv"
     path.write_bytes(("y,t,a,b\n" + _rows_text(16)).encode("utf-8"))
     want = vf.load_csv(path, "y", "t")
     forks = _force_split(monkeypatch, 2)
+    pipes, pipe = [], os.pipe
 
-    def no_memory(*args):
-        raise OSError(12, "Cannot allocate memory")
+    def failing_pipe():
+        pipes.append(1)
+        if len(pipes) == fails_at:
+            raise OSError(24, "Too many open files")
+        return pipe()
 
-    monkeypatch.setattr(data.mmap, "mmap", no_memory)
-    _assert_same_dataset(vf.load_csv(path, "y", "t"), want)
-    assert not forks
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+    parses = _count_parses(monkeypatch)
+    fds = _open_fds()
+    got = vf.load_csv(path, "y", "t")
+    _assert_no_child_left(fds)
+    assert len(forks) == fails_at - 1 and len(parses) == 1
+    _assert_same_dataset(got, want)
+
+
+_SHAPE = np.array([5, 4], np.int64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "sent, code",
+    [
+        pytest.param(_SHAPE[:12], 0, id="short-shape"),
+        pytest.param(_SHAPE + np.zeros((4, 4)).tobytes(), 0, id="short-rows"),
+        # More rows than a pipe holds, of the wrong width: the child blocks
+        # on its write until the parent, done with it, closes the read end.
+        pytest.param(np.array([5000, 3], np.int64).tobytes() + bytes(120_000), 0, id="wrong-width"),
+        pytest.param(_SHAPE + np.zeros((5, 4)).tobytes(), 1, id="full-rows-then-failure"),
+    ],
+)
+def test_split_parse_falls_back_on_a_bad_hand_over(tmp_path, monkeypatch, sent, code):
+    # Each child sends ``sent`` down its pipe and exits with ``code``.
+    path = tmp_path / "short.csv"
+    path.write_bytes(("y,t,a,b\n" + _rows_text(17)).encode("utf-8"))
+    want = vf.load_csv(path, "y", "t")
+    forks = _force_split(monkeypatch, 2)
+
+    def sending_child(fd, begin, end, out):
+        try:
+            out.write(sent)
+            out.flush()
+        finally:
+            os._exit(code)
+
+    def overdue(signum, frame):
+        raise TimeoutError("the load still waits on a pipe or a child after 30 s")
+
+    monkeypatch.setattr(data, "_parse_range", sending_child)
+    parses = _count_parses(monkeypatch)
+    fds = _open_fds()
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(30)
+    try:
+        got = vf.load_csv(path, "y", "t")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left(fds)
+    assert len(forks) == 2 and len(parses) == 1
+    _assert_same_dataset(got, want)
 
 
 def test_split_parse_does_not_fork_beside_another_thread(tmp_path, monkeypatch):
@@ -722,13 +792,14 @@ def test_split_parse_does_not_fork_beside_another_thread(tmp_path, monkeypatch):
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
     other.start()
+    fds = _open_fds()
     try:
         got = vf.load_csv(path, "y", "t")
     finally:
         release.set()
         other.join(10)
     assert not other.is_alive()
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     _assert_same_dataset(got, want)
 
 
@@ -741,13 +812,73 @@ def test_load_reads_a_fifo_in_one_process(tmp_path, monkeypatch):
     forks = _force_split(monkeypatch, 2)
     copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
     writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(fifo)])
+    fds = _open_fds()
     try:
         got = vf.load_csv(fifo, "y", "t")
     finally:
         assert writer.wait(timeout=30) == 0
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     assert not forks
     _assert_same_dataset(got, want)
+
+
+# Run in a fresh interpreter, so that only it is capped: a load of argv[1],
+# split in two, under an address-space cap of the interpreter's VmSize plus
+# argv[2] times the file's bytes, then a load of the same file uncapped.
+_CAPPED_LOAD = """
+import json, os, resource, sys
+import numpy as np
+from vcforward import data
+
+path, margin = sys.argv[1], float(sys.argv[2])
+data.SPLIT_BYTES = 1
+data._usable_cores = lambda: 2
+forks, parses, fork, loadtxt = [], [], os.fork, data._loadtxt
+
+def counted_fork():
+    forks.append(1)
+    return fork()
+
+def counted_loadtxt(fh):
+    parses.append(1)
+    return loadtxt(fh)
+
+os.fork, data._loadtxt = counted_fork, counted_loadtxt
+with open("/proc/self/status", encoding="utf-8") as fh:
+    vm_size = next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmSize:"))
+limits = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm_size + int(margin * os.path.getsize(path)), limits[1]))
+split = data.load_csv(path, "y", "t")
+counts = {"forks": len(forks), "parses": len(parses)}
+resource.setrlimit(resource.RLIMIT_AS, limits)
+one = data.load_csv(path, "y", "t")
+same = split.column_names == one.column_names and split.rescale_map == one.rescale_map
+same = same and all(np.array_equal(getattr(split, k), getattr(one, k)) for k in ("y", "t", "x"))
+print(json.dumps({**counts, "same": same}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmSize in /proc")
+def test_split_parse_survives_an_address_space_cap(tmp_path):
+    # A 5 MB CSV under a cap of 3 bytes of address space per data byte
+    # beyond what the interpreter has mapped. Measured on Linux x86-64 with
+    # numpy 2.4: the split over pipes needs 0.8 bytes (at 0.7 a child runs
+    # out and the load falls back); a split that reserved one shared array
+    # of 4 bytes per data byte fell back at 4.5 and held at 5.
+    rng = np.random.default_rng(18)
+    n, p = 4000, 60
+    cells = rng.standard_normal((n, p + 2))
+    cells[:, 1] = rng.random(n)
+    path = tmp_path / "capped.csv"
+    header = "y,t," + ",".join(f"x{j}" for j in range(1, p + 1))
+    np.savetxt(path, cells, fmt="%.17g", delimiter=",", header=header, comments="")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vf.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_LOAD, str(path), "3"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == {"forks": 2, "parses": 0, "same": True}
 
 
 def _small_fit():
