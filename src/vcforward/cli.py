@@ -27,7 +27,7 @@ from .report import (
     write_report,
 )
 from .selection import EbicConfig, auto_eta, marginal_rank_screen, run_forward
-from .simulation import SNR_MIN_SAMPLES, SimScenario, _rep_task, aggregate, snr
+from .simulation import SimScenario, _rep_task, aggregate, snr
 from .splines import basis_matrix, build_basis
 
 # Keys a scenario file may set, each read as the ``simulate`` flag it names.
@@ -87,7 +87,6 @@ def _build_parser() -> _Parser:
     sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("--reps", type=int, default=200)
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--snr-samples", type=int, default=100_000)
     sim.add_argument("--out", default="aggregate.json", help="aggregate JSON path")
     sim.add_argument("--per-rep-out", default=None, help="optional per-repetition CSV path")
 
@@ -180,6 +179,15 @@ def cmd_select(args) -> int:
     if trace.stop_reason == "max_steps" and not trace.steps:
         given = "without --max-steps" if args.max_steps is None else f"with --max-steps {args.max_steps}"
         warnings.append(f"no forward step: the step cap was 0 at n={dataset.n}, L={args.L} {given}")
+    exhausted = trace.stop_reason == "candidates_exhausted" and not trace.steps
+    if exhausted and set(pool or range(dataset.p + 1)) - {*initial, *dataset.constant_columns}:
+        counts = np.count_nonzero(basis_matrix(basis, dataset.t), axis=0)
+        k = int(np.argmin(counts))
+        warnings.append(
+            f"no forward step: every candidate failed the rank rule; basis function {k + 1} of "
+            f"{basis.dim}, on [{basis.knots[k]:g}, {basis.knots[k + basis.order]:g}], holds the "
+            f"fewest training points, {counts[k]}"
+        )
     fit = fit_full(trace.final_cache, dataset.y)
     grid = curve_grid()
     curves = selection_curves(fit, basis, dataset.column_names, grid)
@@ -259,8 +267,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError("an example id is required (--example or scenario file)")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    if args.snr_samples < SNR_MIN_SAMPLES:
-        raise ConfigError(f"--snr-samples must be at least {SNR_MIN_SAMPLES}, got {args.snr_samples}")
     scenario = SimScenario(
         example_id=args.example,
         n=args.n,
@@ -273,15 +279,17 @@ def cmd_simulate(args) -> int:
     _check_screen_k(args.screen_k, scenario.p)
     config = _stopping_rule(args)
     build_basis(args.L, args.order)  # validate early
-    # Its own stream, so it can be computed before any rep runs.
-    snr_estimate = snr(scenario, args.snr_samples)
+    snr_estimate = snr(scenario)
 
     tasks = [(scenario, r, args.L, args.order, config, args.screen_k) for r in range(scenario.reps)]
     if args.workers > 1:
-        # Imported here: it loads multiprocessing, which no other run needs.
+        # Imported here: they load multiprocessing, which no other run needs.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # Named: 3.14's default, forkserver, starts slowly and needs a __main__ guard.
+        context = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
+        with ProcessPoolExecutor(args.workers, context) as pool:
             results = list(pool.map(_rep_task, tasks, chunksize=1))
     else:
         results = [_rep_task(t) for t in tasks]

@@ -316,16 +316,16 @@ def run_forward(
 def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> list[int]:
     """Rank covariates by the variance estimate of their single-covariate model.
 
-    Scores {intercept, j} for every covariate j in one sweep over the
-    candidates' Grams (the first sweep of ``run_forward``'s Gram route),
-    ranks ascending by variance (ties by index) and returns the best
-    ``keep_k`` indices. Every such model has the same size, so this is also
+    Scores {intercept, j} for every covariate j of ``run_forward``'s default
+    pool, so no constant one, in one sweep over the candidates' Grams, ranks
+    ascending by variance (ties by index) and returns at most ``keep_k``
+    indices, best first. Every such model has the same size, so this is also
     the order of their BIC. The result feeds ``run_forward``'s candidate
     pool; it never holds the intercept.
     """
     if not 1 <= keep_k <= dataset.p:
         raise ConfigError(f"keep_k must be in [1, {dataset.p}], got {keep_k}")
-    _, cache, grams = _start(dataset, basis, (0,), range(1, dataset.p + 1))
+    _, cache, grams = _start(dataset, basis, (0,), None)
     # A degenerate candidate (delta -inf, so sigma_j +inf) ranks last and an
     # exact fit first.
     sigma_j = cache.sigma_sq - sweep(grams, cache)

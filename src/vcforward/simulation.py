@@ -8,12 +8,11 @@ covariates, the second has eight.
 
 Randomness is stream-split: every (seed, rep_index, purpose) triple owns an
 independent generator, so repetitions are reproducible in any execution
-order. Purposes: 0 = training draw, 1 = held-out (test) draw, 2 =
-signal-to-noise estimation. A rep draws purpose 1 only after it has
-selected, refitted and released its training set, and keeps just the
-columns scoring reads (the intercept, the support and the final set), so
-its peak memory is one training design matrix; the kept values are those
-of the full held-out draw, bit for bit.
+order. Purposes: 0 = training draw, 1 = held-out (test) draw. A rep draws
+purpose 1 only after it has selected, refitted and released its training
+set, and keeps just the columns scoring reads (the intercept, the support
+and the final set), so its peak memory is one training design matrix; the
+kept values are those of the full held-out draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +33,12 @@ from .splines import SplineBasis, basis_matrix, build_basis
 
 _PURPOSE_TRAIN = 0
 _PURPOSE_TEST = 1
-_PURPOSE_SNR = 2
 
-# Normal draws per generator call when a design matrix is filled, so that
-# the raw draws exist one block of rows at a time.
+# Normal draws per generator call in ``_draw``: raw draws exist a row block at a time.
 DRAW_BLOCK_CELLS = 1 << 14
 
-# Fewest Monte Carlo draws ``snr`` accepts.
-SNR_MIN_SAMPLES = 10_000
+# Gauss-Legendre nodes per axis in ``snr``: at 128, no acceptance value moves by 3e-7.
+SNR_NODES = 64
 
 # Active coefficient functions per benchmark model, keyed by covariate index.
 EXAMPLE_COEFFS = {
@@ -224,30 +221,24 @@ def true_correlations(t1: float, t2: float) -> tuple[float, float]:
     return corr_xx, corr_xt
 
 
-def snr(scenario: SimScenario, mc_samples: int = 100_000) -> float:
-    """Monte Carlo variance of the true signal over the unit noise variance.
+def snr(scenario: SimScenario) -> float:
+    """Variance of the true signal over the unit noise variance, exactly.
 
-    Only the active covariates are drawn, so the cost is independent of p.
-    Their normals are drawn in row blocks, which continue one stream, and
-    each block's terms are added in the same order, so the value is that of
-    one full-size draw.
+    Given (u1, u2) the covariates are independent with mean t1 u1 / (1 + t1)
+    and variance 1 / (1 + t1)^2. The law of total variance takes the
+    signal's conditional moments over the uniform (u1, u2) by a tensor
+    Gauss-Legendre rule on Golub-Welsch nodes (no numpy.polynomial import),
+    which assumes each beta_j smooth on [0, 1] but for endpoint terms such
+    as ex2's sqrt(t).
     """
-    if mc_samples < SNR_MIN_SAMPLES:
-        raise ConfigError(f"mc_samples must be at least {SNR_MIN_SAMPLES}")
-    rng = _stream(scenario.seed, 0, _PURPOSE_SNR)
-    coeffs = [coeff for _, coeff in sorted(EXAMPLE_COEFFS[scenario.example_id].items())]
-    u1 = rng.random(mc_samples)
-    u2 = rng.random(mc_samples)
-    t = (u2 + scenario.t2 * u1) / (1.0 + scenario.t2)
-    signal = np.zeros(mc_samples)
-    rows = DRAW_BLOCK_CELLS // len(coeffs)
-    for start in range(0, mc_samples, rows):
-        stop = min(start + rows, mc_samples)
-        z = rng.standard_normal((stop - start, len(coeffs)))
-        x = (z + scenario.t1 * u1[start:stop, None]) / (1.0 + scenario.t1)
-        for k, coeff in enumerate(coeffs):
-            signal[start:stop] += coeff(t[start:stop]) * x[:, k]
-    return float(np.var(signal))
+    k = np.arange(1.0, SNR_NODES)
+    nodes, vectors = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    u, w = (nodes + 1.0) / 2.0, vectors[0] ** 2
+    t = (u + scenario.t2 * u[:, None]) / (1.0 + scenario.t2)  # u1 down, u2 across
+    beta = [coeff(t) for coeff in EXAMPLE_COEFFS[scenario.example_id].values()]
+    mean = scenario.t1 * u[:, None] / (1.0 + scenario.t1) * sum(beta)
+    var = sum(b * b for b in beta) / (1.0 + scenario.t1) ** 2
+    return float(w @ (var + mean * mean) @ w - (w @ mean @ w) ** 2)
 
 
 def evaluate_rep(

@@ -5,6 +5,8 @@ oracle uses the textbook divided-difference recursion, the regression
 oracles use dense normal equations / pseudo-inverse projectors.
 """
 
+import math
+
 import numpy as np
 
 
@@ -120,13 +122,15 @@ def benchmark_draw(coeffs, seed, rep_index, purpose, size, p, t1, t2):
 
 
 def snr_full_draw(coeffs, seed, t1, t2, samples):
-    """Signal variance of a benchmark model from one full-size draw.
+    """Signal variance of a benchmark model from one Monte Carlo draw, and
+    the standard error of that estimate.
 
-    The stream is keyed by (seed, 0, 2); u1, u2 and then every active
-    covariate's normals are drawn in single calls, and the signal
-    sum_j coeffs[j](t) x_j is summed in increasing j, out of place.
+    u1, u2 and every active covariate's normals are drawn from
+    ``default_rng(seed)``; the signal sum_j coeffs[j](t) x_j is summed in
+    increasing j, out of place. The standard error of the sample variance
+    is the standard deviation of the squared deviations over sqrt(samples).
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2)))
+    rng = np.random.default_rng(seed)
     u1 = rng.random(samples)
     u2 = rng.random(samples)
     z = rng.standard_normal((samples, len(coeffs)))
@@ -135,4 +139,23 @@ def snr_full_draw(coeffs, seed, t1, t2, samples):
     signal = np.zeros(samples)
     for k, j in enumerate(sorted(coeffs)):
         signal = signal + coeffs[j](t) * x[:, k]
-    return float(np.var(signal))
+    dev2 = (signal - signal.mean()) ** 2
+    return float(dev2.mean()), float(dev2.std() / math.sqrt(samples))
+
+
+def snr_closed_form(example):
+    """Signal variance of a benchmark model at t1 = t2 = 0, in closed form.
+
+    With t1 = 0 the covariates are independent standard normals, independent
+    of t = u2 ~ U(0, 1), so the variance is sum_j int_0^1 beta_j(t)^2 dt.
+    Over a period of s = sin(2 pi t), 1 / (a - s) averages 1 / sqrt(a^2 - 1)
+    and 1 / (a - s)^2 averages a / (a^2 - 1)^(3/2); with s^2 / (2 - s)^2 =
+    1 - 4 / (2 - s) + 4 / (2 - s)^2 that gives 1 - 4 / (3 sqrt 3).
+    """
+    terms = {
+        # 2, 3t, (t + 1)^2, 4 s / (2 - s)
+        "ex1": (4.0, 3.0, 31.0 / 5.0, 16.0 * (1.0 - 4.0 / (3.0 * math.sqrt(3.0)))),
+        # 3t, (t + 1)^2, (t - 2)^3, 3 s, e^t, 2, 2, 3 sqrt(t)
+        "ex2": (3.0, 31.0 / 5.0, 127.0 / 7.0, 4.5, (math.e**2 - 1.0) / 2.0, 4.0, 4.0, 4.5),
+    }
+    return math.fsum(terms[example])

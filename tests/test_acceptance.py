@@ -121,7 +121,7 @@ def test_criterion_5_generator_fidelity():
     worst_snr = 0.0
     for example, t1, t2, target in snr_targets:
         scenario = vf.SimScenario(example, n=400, p=10, t1=t1, t2=t2, seed=1, reps=1)
-        est = vf.snr(scenario, 200_000)
+        est = vf.snr(scenario)
         worst_snr = max(worst_snr, abs(est - target) / target)
     ok_snr = worst_snr <= 0.10
     _report(

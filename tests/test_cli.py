@@ -444,7 +444,7 @@ def test_simulate_scenario_file_may_start_with_a_byte_order_mark(tmp_path):
     scen = tmp_path / "scenario.txt"
     scen.write_text("example=ex1\nn=120\np=20\nreps=1\n", encoding="utf-8-sig")
     out = tmp_path / "agg.json"
-    args = ["simulate", "--scenario", str(scen), "--snr-samples", "10000", "--out", str(out)]
+    args = ["simulate", "--scenario", str(scen), "--out", str(out)]
     assert main(args) == 0
     scenario = json.loads(out.read_text(encoding="utf-8"))["scenario"]
     assert scenario["example_id"] == "ex1" and scenario["n"] == 120
@@ -479,7 +479,7 @@ def test_every_scenario_key_reaches_the_aggregate_and_yields_to_its_flag(tmp_pat
     given = [f"--{key.replace('_', '-')}", flag_value]
     scenario = ["--scenario", str(scen)]
     args = {None: scenario, "before": given + scenario, "after": scenario + given}[flag]
-    tail = ["--snr-samples", "10000", "--out", str(out), "--no-timestamp"]
+    tail = ["--out", str(out), "--no-timestamp"]
     assert main(["simulate", *args, *tail]) == 0
     blob = json.loads(out.read_text(encoding="utf-8"))
     assert blob[section][field] == echo(file_value if flag is None else flag_value)
@@ -491,7 +491,7 @@ def test_main_without_argv_reads_sys_argv_through_a_scenario_file(tmp_path, monk
     scen = tmp_path / "scenario.txt"
     scen.write_text("example=ex1\nn=120\np=20\nreps=3\n", encoding="utf-8")
     out = tmp_path / "agg.json"
-    argv = ["simulate", "--scenario", str(scen), "--reps", "1", "--snr-samples", "10000"]
+    argv = ["simulate", "--scenario", str(scen), "--reps", "1"]
     monkeypatch.setattr(sys, "argv", ["vcforward", *argv, "--out", str(out), "--no-timestamp"])
     assert main() == 0
     scenario = json.loads(out.read_text(encoding="utf-8"))["scenario"]
@@ -501,21 +501,6 @@ def test_main_without_argv_reads_sys_argv_through_a_scenario_file(tmp_path, monk
 def test_simulate_requires_example(capsys):
     assert main(["simulate", "--n", "100"]) == 1
     assert "example" in capsys.readouterr().err
-
-
-def test_simulate_rejects_snr_samples_before_any_rep(tmp_path, monkeypatch, capsys):
-    # The message names the flag and the value given, not snr's argument.
-    calls = []
-    monkeypatch.setattr(cli, "_rep_task", calls.append)
-    monkeypatch.setattr(cli, "snr", calls.append)
-    out = tmp_path / "agg.json"
-    for value in ("5", "9999"):
-        args = ["simulate", "--example", "ex1", "--reps", "20", "--snr-samples", value]
-        assert main(args + ["--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "usage error" in err and f"--snr-samples must be at least 10000, got {value}" in err
-        assert "mc_samples" not in err
-        assert calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -592,6 +577,32 @@ def test_simulate_aggregate_and_per_rep_on_one_path_is_usage_error(tmp_path, mon
     assert "usage error: --scenario and --out name the same file" in capsys.readouterr().err
     assert scen.read_text(encoding="utf-8") == "example=ex1\np=50\nreps=2\n"
     assert calls == [] and not (tmp_path / "agg.json").exists()
+
+
+def test_simulate_workers_pool_names_fork(tmp_path, monkeypatch):
+    # The pool's start method is named, not the platform's default
+    # (forkserver on Linux from Python 3.14).
+    import concurrent.futures
+
+    contexts = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context=None):
+            contexts.append(mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    args = ["simulate", "--example", "ex1", "--p", "50", "--reps", "2", "--workers", "2"]
+    assert main(args + ["--out", str(tmp_path / "agg.json")]) == 0
+    assert [ctx.get_start_method() for ctx in contexts] == ["fork"]
 
 
 def test_simulate_worker_counts_agree(tmp_path):
@@ -785,6 +796,40 @@ def test_select_warns_when_no_forward_step_was_allowed(tmp_path, capsys):
         assert report["selection"]["stop_reason"] == "max_steps"
         assert report["selection"]["steps"] == [] and report["selection"]["final_names"] == ["intercept"]
         assert report["warnings"] == [f"no forward step: the step cap was 0 at n=22, L=7 {given}"]
+
+
+def test_select_warns_when_every_candidate_fails_the_rank_rule(tmp_path, capsys):
+    # 95% of t on U(0, 0.1) and the rest on U(0, 1): the training points
+    # under the L=7 basis functions are [292, 297, 299, 300, 8, 3, 1], so
+    # every candidate's block fails the rank rule at the first step.
+    # Expected: the intercept alone (exit 0), with a warning that names the
+    # basis function with the fewest training points.
+    rng = np.random.default_rng(3)
+    n, p = 300, 6
+    t = np.where(rng.random(n) < 0.95, 0.1 * rng.random(n), rng.random(n))
+    x = rng.standard_normal((n, p))
+    y = 2.0 * x[:, 0] * (1.0 + t) + x[:, 1] + 0.5 * rng.standard_normal(n)
+    names = ["y", "t", *(f"x{j}" for j in range(1, p + 1))]
+    data = _cells_csv(tmp_path / "clustered.csv", names, [y, t, x])
+    out = tmp_path / "r.json"
+    select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
+              "--no-timestamp", "--out", str(out)]
+    assert main(select) == 0, capsys.readouterr().err
+    report = json.loads(out.read_text(encoding="utf-8"))
+    sel = report["selection"]
+    assert (sel["final_set"], sel["steps"], sel["stop_reason"]) == ([0], [], "candidates_exhausted")
+    assert report["warnings"] == [
+        "no forward step: every candidate failed the rank rule; "
+        "basis function 7 of 7, on [0.75, 1], holds the fewest training points, 1"
+    ]
+    # A pool that holds no candidate is no cause for it.
+    noise = _noise_csv(tmp_path / "noise.csv")
+    full = ["select", "--data", str(noise), "--y-column", "y", "--t-column", "t", "--L", "5",
+            "--initial", "intercept,x1,x2,x3,x4,x5", "--no-timestamp", "--out", str(out)]
+    assert main(full) == 0, capsys.readouterr().err
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["selection"]["stop_reason"] == "candidates_exhausted"
+    assert report["selection"]["steps"] == [] and report["warnings"] == []
 
 
 def test_simulate_screen_smaller_than_the_support(tmp_path):

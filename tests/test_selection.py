@@ -645,7 +645,7 @@ def test_pass_start_pools_and_out_of_range_indices():
     assert pool((2, 0, 2), None) == [1, 4, 5, 6]
     assert pool((), None) == [0, 1, 2, 4, 5, 6]
     assert pool((0, 5), [6, 3, 0, 6, 5, 1]) == [1, 3, 6]
-    # The screen's pool: every covariate, constant ones included.
+    # A pool given keeps a constant covariate.
     assert pool((0,), range(1, 7)) == [1, 2, 3, 4, 5, 6]
     with pytest.raises(vf.DataError, match="candidate index 9 is out of range"):
         pool((0,), [1, 9, -1])
@@ -811,6 +811,12 @@ def test_marginal_screen_keep_k_bounds():
         vf.marginal_rank_screen(ds, basis, 0)
     with pytest.raises(ConfigError):
         vf.marginal_rank_screen(ds, basis, 6)
+    # A constant covariate is no candidate, so the screen does not rank it
+    # and returns fewer than keep_k indices.
+    x = ds.x[:, 1:].copy()
+    x[:, 2] = 1.5
+    ranked = vf.marginal_rank_screen(vf.from_arrays(ds.y, ds.t, x), basis, 5)
+    assert sorted(ranked) == [1, 2, 4, 5]
 
 
 def test_marginal_screen_retains_benchmark_support():
