@@ -43,7 +43,6 @@ from .simulation import (
     robust_sd,
     run_rep,
     snr,
-    true_correlations,
 )
 from .splines import (
     DesignBlock,
@@ -93,5 +92,4 @@ __all__ = [
     "run_forward",
     "run_rep",
     "snr",
-    "true_correlations",
 ]

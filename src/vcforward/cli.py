@@ -26,7 +26,7 @@ from .report import (
     write_curves,
     write_report,
 )
-from .selection import EbicConfig, auto_eta, marginal_rank_screen, run_forward
+from .selection import EbicConfig, marginal_rank_screen, run_forward
 from .simulation import SimScenario, _rep_task, aggregate, snr
 from .splines import basis_matrix, build_basis
 
@@ -160,14 +160,6 @@ def cmd_select(args) -> int:
     if dataset.rescale_map != (0.0, 1.0):
         a, b = dataset.rescale_map
         warnings.append(f"index variable rescaled to [0, 1] from [{a!r}, {b!r}]")
-    for j in dataset.constant_columns:
-        warnings.append(
-            f"constant covariate {dataset.column_names[j]!r} excluded from candidates"
-        )
-    if args.eta_rule == "auto" and dataset.p > 1:
-        raw = auto_eta(dataset.n, dataset.p)
-        if raw < 0.0:
-            warnings.append(f"auto eta {raw:.4f} clamped to 0")
 
     initial = _parse_initial(args.initial, dataset.column_names)
     pool = None
@@ -176,18 +168,7 @@ def cmd_select(args) -> int:
         # (run_forward drops it from the pool when it is in the initial set).
         pool = [0, *marginal_rank_screen(dataset, basis, args.screen_k)]
     trace = run_forward(dataset, basis, config, initial_set=initial, candidate_pool=pool)
-    if trace.stop_reason == "max_steps" and not trace.steps:
-        given = "without --max-steps" if args.max_steps is None else f"with --max-steps {args.max_steps}"
-        warnings.append(f"no forward step: the step cap was 0 at n={dataset.n}, L={args.L} {given}")
-    exhausted = trace.stop_reason == "candidates_exhausted" and not trace.steps
-    if exhausted and set(pool or range(dataset.p + 1)) - {*initial, *dataset.constant_columns}:
-        counts = np.count_nonzero(basis_matrix(basis, dataset.t), axis=0)
-        k = int(np.argmin(counts))
-        warnings.append(
-            f"no forward step: every candidate failed the rank rule; basis function {k + 1} of "
-            f"{basis.dim}, on [{basis.knots[k]:g}, {basis.knots[k + basis.order]:g}], holds the "
-            f"fewest training points, {counts[k]}"
-        )
+    warnings.extend(trace.warnings)
     fit = fit_full(trace.final_cache, dataset.y)
     grid = curve_grid()
     curves = selection_curves(fit, basis, dataset.column_names, grid)

@@ -117,7 +117,9 @@ class SelectionTrace:
     "patience_exhausted", "max_steps", "candidates_exhausted", "exact_fit".
     ``final_cache`` is the pass's own W = QR factor of ``final_set``, so
     ``fit_full(final_cache, y)`` refits the selected model with one
-    triangular solve.
+    triangular solve. ``warnings`` say, in order, which constant covariates
+    the pool left out, that the automatic eta was clamped, that the step
+    cap was 0, and that every remaining candidate failed the rank rule.
     """
 
     initial_set: tuple[int, ...]
@@ -128,6 +130,7 @@ class SelectionTrace:
     ebic_initial: float
     eta: float
     final_cache: ProjectionCache = field(compare=False, repr=False)
+    warnings: tuple[str, ...] = ()
 
     @property
     def sigma_sq_path(self) -> list[float]:
@@ -269,6 +272,13 @@ def run_forward(
     n, dim = dataset.n, basis.dim
     eta = config.resolve_eta(n, dataset.p)
     initial, cache, grams = _start(dataset, basis, initial_set, candidate_pool)
+    warnings = [
+        f"constant covariate {dataset.column_names[j]!r} excluded from candidates"
+        for j in dataset.constant_columns
+        if j not in grams.index
+    ]
+    if config.eta_rule == "auto" and dataset.p > 1 and (raw := auto_eta(n, dataset.p)) < 0.0:
+        warnings.append(f"auto eta {raw:.4f} clamped to 0")
 
     cap = n // dim - len(initial)
     max_steps = config.max_steps
@@ -278,8 +288,13 @@ def run_forward(
 
     sigma0 = cache.sigma_sq
     if sigma0 <= 0.0:
-        return SelectionTrace(initial, (), initial, "exact_fit", sigma0, -math.inf, eta, cache)
+        return SelectionTrace(
+            initial, (), initial, "exact_fit", sigma0, -math.inf, eta, cache, tuple(warnings)
+        )
     ebic0 = ebic(sigma0, len(initial), n, dataset.p, dim, eta)
+    if max_steps == 0:
+        given = "without --max-steps" if config.max_steps is None else f"with --max-steps {config.max_steps}"
+        warnings.append(f"no forward step: the step cap was 0 at n={n}, L={dim} {given}")
 
     steps: list[SelectionStep] = []
     best_val, best_len, best_cache = ebic0, 0, cache
@@ -287,6 +302,16 @@ def run_forward(
     while len(steps) < max_steps and grams.alive.any() and streak < config.patience:
         winner = _confirmed_winner(cache, grams, sweep(grams, cache))
         if winner is None:
+            # The basis function under the fewest training points is the
+            # likeliest to leave a block short of full rank.
+            counts = np.count_nonzero(grams.bmat, axis=0)
+            k = int(np.argmin(counts))
+            after = f" after step {len(steps)}: every remaining" if steps else ": every"
+            warnings.append(
+                f"no forward step{after} candidate failed the rank rule; basis function "
+                f"{k + 1} of {dim}, on [{basis.knots[k]:g}, {basis.knots[k + basis.order]:g}], "
+                f"holds the fewest training points, {counts[k]}"
+            )
             break
         pos, cache = winner
         grams.alive[pos] = False
@@ -310,7 +335,9 @@ def run_forward(
     else:
         stop = "candidates_exhausted"
     final = initial + tuple(s.index for s in steps[:best_len])
-    return SelectionTrace(initial, tuple(steps), final, stop, sigma0, ebic0, eta, best_cache)
+    return SelectionTrace(
+        initial, tuple(steps), final, stop, sigma0, ebic0, eta, best_cache, tuple(warnings)
+    )
 
 
 def marginal_rank_screen(dataset: Dataset, basis: SplineBasis, keep_k: int) -> list[int]:

@@ -37,6 +37,9 @@ _PURPOSE_TEST = 1
 # Normal draws per generator call in ``_draw``: raw draws exist a row block at a time.
 DRAW_BLOCK_CELLS = 1 << 14
 
+# Held-out rows per training row.
+TEST_FRACTION = 0.5
+
 # Gauss-Legendre nodes per axis in ``snr``: at 128, no acceptance value moves by 3e-7.
 SNR_NODES = 64
 
@@ -72,7 +75,6 @@ class SimScenario:
     t2: float = 0.0
     seed: int = 1
     reps: int = 200
-    test_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if self.example_id not in EXAMPLE_COEFFS:
@@ -91,8 +93,6 @@ class SimScenario:
             raise ConfigError("seed must be nonnegative")
         if self.reps < 1:
             raise ConfigError("reps must be positive")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie in (0, 1)")
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -100,7 +100,7 @@ class SimScenario:
 
     @property
     def test_size(self) -> int:
-        return max(1, int(round(self.n * self.test_fraction)))
+        return max(1, int(round(self.n * TEST_FRACTION)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def generate(scenario: SimScenario, rep_index: int) -> tuple[Dataset, tuple[int,
 def held_out(scenario: SimScenario, rep_index: int, columns) -> Dataset:
     """Test set of one repetition, holding only ``columns`` of its design.
 
-    An independent draw from the training law of size n * test_fraction.
+    An independent draw from the training law of size n * TEST_FRACTION.
     ``columns`` must increase from 0 (the intercept), stay within p and hold
     the support, from which the response is built. Column k of the result's
     x is column ``columns[k]`` of the full (test_size, p+1) test design, bit
@@ -210,15 +210,6 @@ def held_out(scenario: SimScenario, rep_index: int, columns) -> Dataset:
         )
     rng = _stream(scenario.seed, rep_index, _PURPOSE_TEST)
     return _draw(scenario, rng, scenario.test_size, columns)
-
-
-def true_correlations(t1: float, t2: float) -> tuple[float, float]:
-    """Closed-form corr(x_j, x_k) and corr(x_j, t) for the generators."""
-    if t1 < 0.0 or t2 < 0.0:
-        raise ConfigError("t1 and t2 must be nonnegative")
-    corr_xx = t1**2 / (12.0 + t1**2)
-    corr_xt = t1 * t2 / math.sqrt((12.0 + t1**2) * (1.0 + t2**2))
-    return corr_xx, corr_xt
 
 
 def snr(scenario: SimScenario) -> float:

@@ -143,6 +143,19 @@ def snr_full_draw(coeffs, seed, t1, t2, samples):
     return float(dev2.mean()), float(dev2.std() / math.sqrt(samples))
 
 
+def true_correlations(t1, t2):
+    """Closed-form corr(x_j, x_k) and corr(x_j, t) under the generators' law.
+
+    x_j = (z_j + t1 u1) / (1 + t1) and t = (u2 + t2 u1) / (1 + t2), with
+    var z_j = 1 and var u = 1 / 12, share only u1: before the scales
+    1 / (1 + t1) and 1 / (1 + t2), which cancel in a correlation,
+    cov(x_j, x_k) = t1^2 / 12 and cov(x_j, t) = t1 t2 / 12.
+    """
+    corr_xx = t1**2 / (12.0 + t1**2)
+    corr_xt = t1 * t2 / math.sqrt((12.0 + t1**2) * (1.0 + t2**2))
+    return corr_xx, corr_xt
+
+
 def snr_closed_form(example):
     """Signal variance of a benchmark model at t1 = t2 = 0, in closed form.
 

@@ -16,7 +16,7 @@ import pytest
 import vcforward as vf
 from vcforward.cli import main as cli_main
 
-from oracles import lstsq_sigma_sq
+from oracles import lstsq_sigma_sq, true_correlations
 
 BASIS = vf.build_basis(7, 4)
 FBIC = vf.EbicConfig(eta=0.0, patience=5)
@@ -105,7 +105,7 @@ def test_criterion_5_generator_fidelity():
         corr = np.corrcoef(xs, rowvar=False)
         emp_xx = float(corr[np.triu_indices(8, 1)].mean())
         emp_xt = float(np.mean([np.corrcoef(xs[:, j], train.t)[0, 1] for j in range(8)]))
-        true_xx, true_xt = vf.true_correlations(t1, t2)
+        true_xx, true_xt = true_correlations(t1, t2)
         worst = max(worst, abs(emp_xx - true_xx), abs(emp_xt - true_xt))
     ok_corr = worst <= 0.03
 

@@ -349,19 +349,21 @@ def test_select_reports_rescaled_index_and_clamped_auto_eta(tmp_path, capsys):
     t[:2] = 10.0, 20.0
     x = rng.standard_normal((n, 2))
     y = x[:, 0] + rng.standard_normal(n)
-    data = _cells_csv(tmp_path / "w.csv", ["y", "t", "x1", "x2"], [y, t, x])
+    data = _cells_csv(tmp_path / "w.csv", ["y", "t", "x1", "x2", "c"], [y, t, x, np.full(n, 2.5)])
     out = tmp_path / "r.json"
     code = main(["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
                  "--L", "5", "--eta-rule", "auto", "--no-timestamp", "--out", str(out)])
     assert code == 0, capsys.readouterr().err
     report = json.loads(out.read_text(encoding="utf-8"))
-    # auto eta = 1 - log 40 / (3 log 2) = -0.7740 at p = 2.
-    assert report["warnings"] == [
-        "index variable rescaled to [0, 1] from [10.0, 20.0]",
-        "auto eta -0.7740 clamped to 0",
-    ]
+    # auto eta = 1 - log 40 / (3 log 3) = -0.1193 at p = 3. select warns of
+    # the rescale and then gives the pass's warnings, which a library
+    # caller reads off the trace.
+    pass_warnings = ["constant covariate 'c' excluded from candidates", "auto eta -0.1193 clamped to 0"]
+    assert report["warnings"] == ["index variable rescaled to [0, 1] from [10.0, 20.0]", *pass_warnings]
     assert report["dataset"]["rescale_map"] == [10.0, 20.0]
     assert report["selection"]["eta"] == 0.0
+    trace = vf.run_forward(vf.load_csv(data, "y", "t"), vf.build_basis(5, 4), vf.EbicConfig(eta_rule="auto"))
+    assert list(trace.warnings) == pass_warnings
 
 
 def test_simulate_single_rep_aggregate_equals_rep(tmp_path):
@@ -798,30 +800,44 @@ def test_select_warns_when_no_forward_step_was_allowed(tmp_path, capsys):
         assert report["warnings"] == [f"no forward step: the step cap was 0 at n=22, L=7 {given}"]
 
 
-def test_select_warns_when_every_candidate_fails_the_rank_rule(tmp_path, capsys):
-    # 95% of t on U(0, 0.1) and the rest on U(0, 1): the training points
-    # under the L=7 basis functions are [292, 297, 299, 300, 8, 3, 1], so
-    # every candidate's block fails the rank rule at the first step.
-    # Expected: the intercept alone (exit 0), with a warning that names the
-    # basis function with the fewest training points.
-    rng = np.random.default_rng(3)
+def _clustered_csv(path, seed):
+    # 95% of t on U(0, 0.1) and the rest on U(0, 1), so that few training
+    # points lie under the last basis functions; x1 and x2 are active.
+    rng = np.random.default_rng(seed)
     n, p = 300, 6
     t = np.where(rng.random(n) < 0.95, 0.1 * rng.random(n), rng.random(n))
     x = rng.standard_normal((n, p))
     y = 2.0 * x[:, 0] * (1.0 + t) + x[:, 1] + 0.5 * rng.standard_normal(n)
     names = ["y", "t", *(f"x{j}" for j in range(1, p + 1))]
-    data = _cells_csv(tmp_path / "clustered.csv", names, [y, t, x])
+    return _cells_csv(path, names, [y, t, x])
+
+
+def test_select_warns_when_every_candidate_fails_the_rank_rule(tmp_path, capsys):
+    # At seed 3 the training points under the L=7 basis functions are
+    # [292, 297, 299, 300, 8, 3, 1], so every candidate's block fails the
+    # rank rule at the first step. At seed 0 x1 enters, and then every
+    # remaining block, active x2's included, fails it. Expected: exit 0,
+    # with a warning that names the basis function with the fewest training
+    # points, which a library caller reads off the trace.
     out = tmp_path / "r.json"
-    select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
-              "--no-timestamp", "--out", str(out)]
-    assert main(select) == 0, capsys.readouterr().err
-    report = json.loads(out.read_text(encoding="utf-8"))
-    sel = report["selection"]
-    assert (sel["final_set"], sel["steps"], sel["stop_reason"]) == ([0], [], "candidates_exhausted")
-    assert report["warnings"] == [
-        "no forward step: every candidate failed the rank rule; "
-        "basis function 7 of 7, on [0.75, 1], holds the fewest training points, 1"
-    ]
+    cases = (
+        (3, ["intercept"], "no forward step: every candidate failed the rank rule; "
+         "basis function 7 of 7, on [0.75, 1], holds the fewest training points, 1"),
+        (0, ["intercept", "x1"], "no forward step after step 1: every remaining candidate failed "
+         "the rank rule; basis function 7 of 7, on [0.75, 1], holds the fewest training points, 3"),
+    )
+    for seed, final_names, warning in cases:
+        data = _clustered_csv(tmp_path / f"clustered{seed}.csv", seed)
+        select = ["select", "--data", str(data), "--y-column", "y", "--t-column", "t",
+                  "--no-timestamp", "--out", str(out)]
+        assert main(select) == 0, capsys.readouterr().err
+        report = json.loads(out.read_text(encoding="utf-8"))
+        sel = report["selection"]
+        assert (sel["final_names"], sel["stop_reason"]) == (final_names, "candidates_exhausted")
+        assert len(sel["steps"]) == len(final_names) - 1
+        assert report["warnings"] == [warning]
+        trace = vf.run_forward(vf.load_csv(data, "y", "t"), vf.build_basis(7, 4), vf.EbicConfig())
+        assert trace.warnings == (warning,)
     # A pool that holds no candidate is no cause for it.
     noise = _noise_csv(tmp_path / "noise.csv")
     full = ["select", "--data", str(noise), "--y-column", "y", "--t-column", "t", "--L", "5",

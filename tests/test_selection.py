@@ -614,10 +614,13 @@ def test_run_forward_exhausts_small_pool():
     trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0, patience=10))
     assert trace.stop_reason == "candidates_exhausted"
     assert len(trace.steps) == 3
+    # A pool that runs dry by acceptance is no cause for a warning.
+    assert trace.warnings == ()
     # A pool left empty once the initial set is taken out.
     for pool in ([], [0]):
         empty = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0), candidate_pool=pool)
         assert empty.stop_reason == "candidates_exhausted" and empty.steps == ()
+        assert empty.warnings == ()
 
 
 def test_run_forward_candidate_pool_restriction():
@@ -671,12 +674,16 @@ def test_candidate_pool_owns_its_indices_blocks_and_live_mask():
 
 
 def test_run_forward_exact_fit_on_zero_response():
-    ds = vf.from_arrays(np.zeros(100), np.linspace(0, 1, 100), np.random.default_rng(0).standard_normal((100, 4)))
+    x = np.random.default_rng(0).standard_normal((100, 4))
+    x[:, 3] = 1.0
+    ds = vf.from_arrays(np.zeros(100), np.linspace(0, 1, 100), x)
     basis = vf.build_basis(5, 4)
     trace = vf.run_forward(ds, basis, vf.EbicConfig(eta=0.0))
     assert trace.stop_reason == "exact_fit"
     assert trace.final_set == trace.initial_set == (0,)
     assert trace.ebic_initial == -math.inf
+    # The early return carries the warnings made before it.
+    assert trace.warnings == ("constant covariate 'x4' excluded from candidates",)
 
 
 def test_run_forward_exact_fit_after_a_step(monkeypatch):
